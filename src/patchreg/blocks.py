@@ -245,10 +245,6 @@ class WindowPartition:
         return TokenMap(self.grid_h, self.grid_w, gather_rows(flat, self._inv))
 
 
-def window_partition(x: TokenMap, window: int, shifted: bool = False) -> WindowPartition:
-    return WindowPartition(x, window, shifted)
-
-
 def relative_position_index(window: int) -> np.ndarray:
     """Flat [window**2 * window**2] index into a (2w-1)**2 bias table."""
     coords = np.stack(
@@ -357,10 +353,10 @@ class SwinCrossBlock:
         fix_v = fix.with_data(linear(nk, self.wv, self.bv))
         mov_q = mov.with_data(linear(nq, self.wq, self.bq))
 
-        k_norm = window_partition(fix_n, self.window, shifted=False)
-        v_norm = window_partition(fix_v, self.window, shifted=False)
-        q_norm = window_partition(mov_q, self.window, shifted=False)
-        q_shift = window_partition(mov_q, self.window, shifted=self.use_shift)
+        k_norm = WindowPartition(fix_n, self.window, False)
+        v_norm = WindowPartition(fix_v, self.window, False)
+        q_norm = WindowPartition(mov_q, self.window, False)
+        q_shift = WindowPartition(mov_q, self.window, self.use_shift)
 
         out_normal = self._attend(q_norm, k_norm, v_norm)
         out_shifted = self._attend(q_shift, k_norm, v_norm)

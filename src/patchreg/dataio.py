@@ -23,9 +23,10 @@ from .metrics import EvalPair, warp_mask
 from .svf import (
     DISPLACEMENT,
     VectorField,
+    aligned_grid,
     integrate_svf,
     random_smooth_velocity,
-    sample_bilinear,
+    sample,
     warp_image,
     write_field,
 )
@@ -209,11 +210,7 @@ def resize_image(img: np.ndarray, size: int) -> np.ndarray:
     h, w = img.shape
     if (h, w) == (size, size):
         return img.copy()
-    ys = np.arange(size) * ((h - 1) / (size - 1) if size > 1 else 0.0)
-    xs = np.arange(size) * ((w - 1) / (size - 1) if size > 1 else 0.0)
-    yy = np.repeat(ys[:, None], size, axis=1)
-    xx = np.repeat(xs[None, :], size, axis=0)
-    return sample_bilinear(img, xx, yy)
+    return sample(img[None], aligned_grid(h, w, size, size)).data[0]
 
 
 def resize_mask(mask: np.ndarray, size: int) -> np.ndarray:

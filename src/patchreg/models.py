@@ -297,10 +297,6 @@ def init_model(config: ModelConfig, dtype=np.float32, head_init: str = "zeros") 
     return RegistrationModel(config, dtype=dtype, head_init=head_init)
 
 
-def register(model: RegistrationModel, fix, mov) -> RegistrationResult:
-    return model.register(fix, mov)
-
-
 # ---------------------------------------------------------------------------
 # shipped presets
 
@@ -414,26 +410,35 @@ def load_checkpoint(path, dtype=np.float32) -> RegistrationModel:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
+        hlen = fh.read(4)
+        if len(hlen) != 4:
+            raise CheckpointError(f"{path}: truncated header length")
         try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
+            header = json.loads(fh.read(struct.unpack("<I", hlen)[0]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: unreadable header ({e})") from e
         payload = fh.read()
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    missing = [key for key in ("sha256", "config", "params") if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise CheckpointError(f"{path}: payload hash mismatch, file corrupt")
-    config = ModelConfig.from_dict(header["config"])
-    model = RegistrationModel(config, dtype=dtype)
-    offset = 0
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in header["params"]:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset).reshape(shape)
-        arrays[name] = arr
-        offset += n * 4
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: payload size does not match parameter table")
-    if set(arrays) != set(model.params.names()):
-        raise CheckpointError(f"{path}: parameter names do not match the stored config")
-    model.params.load_arrays(arrays)
+    try:
+        model = RegistrationModel(ModelConfig.from_dict(header["config"]), dtype=dtype)
+        offset = 0
+        arrays: dict[str, np.ndarray] = {}
+        for name, shape in header["params"]:
+            n = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
+            arrays[name] = arr.reshape(shape)
+            offset += n * 4
+        if offset != len(payload):
+            raise ValueError("payload size does not match parameter table")
+        if set(arrays) != set(model.params.names()):
+            raise ValueError("parameter names do not match the stored config")
+        model.params.load_arrays(arrays)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint ({e})") from e
     return model

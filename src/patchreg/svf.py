@@ -1,9 +1,12 @@
 """Stationary-velocity-field machinery.
 
 Velocity fields are turned into displacement fields by scaling and
-squaring; displacements drive a differentiable bilinear warp. The same
-warp kernel powers field composition, and fields can be resampled
-between grids with the value rescaling that keeps units consistent.
+squaring; displacements drive a differentiable bilinear warp, and fields
+can be resampled between grids with the value rescaling that keeps units
+consistent. Every bilinear read in the package (warp, compose, resample,
+image resize, augmentation crop and rotation) goes through one kernel,
+:func:`sample`, at absolute coordinates built from :func:`identity_grid`
+or :func:`aligned_grid`.
 
 Conventions, fixed project wide:
 
@@ -89,74 +92,63 @@ def identity_grid(h: int, w: int, dtype=np.float64) -> np.ndarray:
     return grid
 
 
-def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear sample of ``img`` ([h,w] or [c,h,w]) at absolute coords,
-    clamp-to-edge. Pure numpy, no gradient tracking."""
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[None]
-    c, h, w = img.shape
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xc).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(yc).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
-    out = (1 - fy) * ((1 - fx) * img[:, y0, x0] + fx * img[:, y0, x1]) + fy * (
-        (1 - fx) * img[:, y1, x0] + fx * img[:, y1, x1]
-    )
-    return out[0] if squeeze else out
+def aligned_grid(src_h: int, src_w: int, out_h: int, out_w: int, dtype=np.float64) -> np.ndarray:
+    """Corner-aligned coordinates of an out_h x out_w grid in a src_h x src_w
+    image: the output's corner pixels land on the input's corner pixels."""
+    sx = (src_w - 1) / (out_w - 1) if out_w > 1 else 0.0
+    sy = (src_h - 1) / (out_h - 1) if out_h > 1 else 0.0
+    return identity_grid(out_h, out_w, dtype) * np.array([sx, sy], dtype=dtype).reshape(2, 1, 1)
 
 
-def _warp_node(img: Tensor, disp: Tensor) -> Tensor:
-    """Differentiable clamp-to-edge bilinear warp.
+def _cell(coord: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Lower cell index and in-cell fraction of clamp-to-edge coordinates on an axis of length n."""
+    clamped = np.clip(coord, 0.0, n - 1.0)
+    lo = np.clip(np.floor(clamped).astype(np.intp), 0, max(n - 2, 0))
+    return lo, (clamped - lo).astype(dtype)
 
-    ``img`` is [c, h, w]; ``disp`` is [2, H, W] of pixel offsets added to
-    the identity grid of (H, W). Output is [c, H, W]. Gradients flow to
-    both the image (scatter) and the displacement (image-gradient chain);
-    where a coordinate is clamped its displacement gradient is zero.
+
+def sample(img: Tensor, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
+    """Differentiable clamp-to-edge bilinear read of ``img`` [c, h, w].
+
+    ``grid`` is [2, H, W] of absolute coordinates (channel 0 x, channel 1
+    y); ``disp``, when given, is a [2, H, W] tensor of pixel offsets added
+    to it. Output is [c, H, W]. Gradients flow to the image and, when
+    given, to ``disp``, whose gradient is zero where a coordinate is clamped.
     """
+    img = as_tensor(img)
     c, h, w = img.shape
-    _, hh, ww = disp.shape
-    grid = identity_grid(hh, ww, dtype=img.dtype)
-    x = grid[0] + disp.data[0]
-    y = grid[1] + disp.data[1]
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    active_x = ((x > 0.0) & (x < w - 1.0)).astype(img.dtype)
-    active_y = ((y > 0.0) & (y < h - 1.0)).astype(img.dtype)
-    x0 = np.clip(np.floor(xc).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(yc).astype(np.intp), 0, max(h - 2, 0))
+    x, y = grid
+    if disp is not None:
+        x, y = x + disp.data[0], y + disp.data[1]
+        inside_x = (x > 0.0) & (x < w - 1.0)
+        inside_y = (y > 0.0) & (y < h - 1.0)
+    x0, fx = _cell(x, w, img.dtype)
+    y0, fy = _cell(y, h, img.dtype)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xc - x0).astype(img.dtype)
-    fy = (yc - y0).astype(img.dtype)
-    i00 = img.data[:, y0, x0]
-    i10 = img.data[:, y0, x1]
-    i01 = img.data[:, y1, x0]
-    i11 = img.data[:, y1, x1]
-    w00 = (1 - fy) * (1 - fx)
-    w10 = (1 - fy) * fx
-    w01 = fy * (1 - fx)
-    w11 = fy * fx
-    data = w00 * i00 + w10 * i10 + w01 * i01 + w11 * i11
+    data = (
+        (1 - fy) * (1 - fx) * img.data[:, y0, x0]
+        + (1 - fy) * fx * img.data[:, y0, x1]
+        + fy * (1 - fx) * img.data[:, y1, x0]
+        + fy * fx * img.data[:, y1, x1]
+    )
 
     def backward_fn(g):
-        gi = np.zeros_like(img.data)
-        for ch in range(c):
-            gch = g[ch]
-            np.add.at(gi[ch], (y0, x0), w00 * gch)
-            np.add.at(gi[ch], (y0, x1), w10 * gch)
-            np.add.at(gi[ch], (y1, x0), w01 * gch)
-            np.add.at(gi[ch], (y1, x1), w11 * gch)
+        corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])[:, None]
+        weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])[:, None]
+        flat = corners + (h * w) * np.arange(c).reshape(c, 1, 1)
+        gi = np.bincount(flat.ravel(), (weights * g).ravel(), minlength=c * h * w)
+        gi = gi.reshape(c, h, w).astype(img.dtype)
+        if disp is None:
+            return (gi,)
+        i00, i10 = img.data[:, y0, x0], img.data[:, y0, x1]
+        i01, i11 = img.data[:, y1, x0], img.data[:, y1, x1]
         ddx = ((1 - fy) * (i10 - i00) + fy * (i11 - i01)) * g
         ddy = ((1 - fx) * (i01 - i00) + fx * (i11 - i10)) * g
-        gd = np.stack([ddx.sum(axis=0) * active_x, ddy.sum(axis=0) * active_y])
+        gd = np.stack([ddx.sum(axis=0) * inside_x, ddy.sum(axis=0) * inside_y])
         return gi, gd.astype(disp.dtype)
 
-    return _node(data, (img, disp), backward_fn)
+    return _node(data, (img,) if disp is None else (img, disp), backward_fn)
 
 
 def warp_image(img, disp: VectorField) -> Tensor:
@@ -179,7 +171,7 @@ def warp_image(img, disp: VectorField) -> Tensor:
         raise DimensionError(
             f"image {t3.shape[1:]} and displacement {(disp.height, disp.width)} sizes differ"
         )
-    out = _warp_node(t3, disp.data)
+    out = sample(t3, identity_grid(disp.height, disp.width, t3.dtype), disp.data)
     if squeeze:
         out = reshape(out, out.shape[1:])
     return out
@@ -197,7 +189,8 @@ def compose_displacements(outer: VectorField, inner: VectorField) -> VectorField
         raise DimensionError(
             f"cannot compose {outer.height}x{outer.width} with {inner.height}x{inner.width}"
         )
-    sampled = _warp_node(outer.data, inner.data)
+    grid = identity_grid(inner.height, inner.width, outer.data.dtype)
+    sampled = sample(outer.data, grid, inner.data)
     return VectorField(add(inner.data, sampled), DISPLACEMENT)
 
 
@@ -219,51 +212,13 @@ def integrate_svf(v: VectorField, steps: int = 7) -> VectorField:
     return u
 
 
-def _resize_node(x: Tensor, new_h: int, new_w: int) -> Tensor:
-    """Corner-aligned bilinear resize of [c, h, w], differentiable."""
-    c, h, w = x.shape
-    sy = (h - 1) / (new_h - 1) if new_h > 1 else 0.0
-    sx = (w - 1) / (new_w - 1) if new_w > 1 else 0.0
-    ys = np.arange(new_h, dtype=x.dtype) * sy
-    xs = np.arange(new_w, dtype=x.dtype) * sx
-    yy = np.repeat(ys[:, None], new_w, axis=1)
-    xx = np.repeat(xs[None, :], new_h, axis=0)
-    x0 = np.clip(np.floor(xx).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(yy).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xx - x0).astype(x.dtype)
-    fy = (yy - y0).astype(x.dtype)
-    w00 = (1 - fy) * (1 - fx)
-    w10 = (1 - fy) * fx
-    w01 = fy * (1 - fx)
-    w11 = fy * fx
-    data = (
-        w00 * x.data[:, y0, x0]
-        + w10 * x.data[:, y0, x1]
-        + w01 * x.data[:, y1, x0]
-        + w11 * x.data[:, y1, x1]
-    )
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        for ch in range(c):
-            gch = g[ch]
-            np.add.at(gx[ch], (y0, x0), w00 * gch)
-            np.add.at(gx[ch], (y0, x1), w10 * gch)
-            np.add.at(gx[ch], (y1, x0), w01 * gch)
-            np.add.at(gx[ch], (y1, x1), w11 * gch)
-        return (gx,)
-
-    return _node(data, (x,), backward_fn)
-
-
 def resample_field(f: VectorField, new_h: int, new_w: int) -> VectorField:
     """Resample a field to a new grid and convert its values to the new
     grid's pixel units (x channel scaled by new_w/old_w, y by new_h/old_h)."""
     if new_h < 1 or new_w < 1:
         raise ContractError("target size must be at least 1x1")
-    resized = _resize_node(f.data, new_h, new_w)
+    grid = aligned_grid(f.height, f.width, new_h, new_w, f.data.dtype)
+    resized = sample(f.data, grid)
     scale = np.array([new_w / f.width, new_h / f.height], dtype=f.data.dtype).reshape(2, 1, 1)
     return VectorField(cmul(resized, scale), f.kind)
 

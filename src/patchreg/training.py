@@ -26,7 +26,7 @@ from .gradcore import (
     sub,
 )
 from .models import ConfigError, RegistrationModel, RegistrationResult, save_checkpoint
-from .svf import VectorField, sample_bilinear, warp_image
+from .svf import VectorField, aligned_grid, identity_grid, sample, warp_image
 
 AUGMENT_PROB = 0.5  # per-transform apply probability, fixed
 
@@ -224,28 +224,21 @@ class Adam:
 # augmentation (numpy only, applied before any graph is built)
 
 
-def _affine_resample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return sample_bilinear(img, xs, ys)
-
-
 def _rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     h, w = img.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     th = math.radians(degrees)
-    gy, gx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    gx, gy = identity_grid(h, w)
     # inverse map: rotate output coords by -theta about the center
     xs = math.cos(th) * (gx - cx) + math.sin(th) * (gy - cy) + cx
     ys = -math.sin(th) * (gx - cx) + math.cos(th) * (gy - cy) + cy
-    return _affine_resample(img, xs, ys)
+    return sample(img[None], np.stack([xs, ys])).data[0]
 
 
 def _crop_resize(img: np.ndarray, oy: int, ox: int, ch: int, cw: int) -> np.ndarray:
     h, w = img.shape
-    ys = oy + np.arange(h, dtype=np.float64) * ((ch - 1) / (h - 1) if h > 1 else 0.0)
-    xs = ox + np.arange(w, dtype=np.float64) * ((cw - 1) / (w - 1) if w > 1 else 0.0)
-    yy = np.repeat(ys[:, None], w, axis=1)
-    xx = np.repeat(xs[None, :], h, axis=0)
-    return _affine_resample(img, xx, yy)
+    grid = aligned_grid(ch, cw, h, w) + np.array([ox, oy], dtype=np.float64).reshape(2, 1, 1)
+    return sample(img[None], grid).data[0]
 
 
 def augment_pair(

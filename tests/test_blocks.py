@@ -11,12 +11,12 @@ from patchreg.blocks import (
     PatchEmbed,
     SwinCrossBlock,
     TokenMap,
+    WindowPartition,
     extract_patches,
     mixer_block_param_count,
     mlp_block_param_count,
     patch_embed_param_count,
     swin_block_param_count,
-    window_partition,
 )
 from patchreg.gradcore import DimensionError, ParamSet, Tensor, grad_check
 
@@ -223,14 +223,14 @@ def brute_force_region(i, grid, window):
 def test_partition_round_trip_bit_exact():
     for shifted in (False, True):
         x = rand_tokens(23, 4, 4, 5)
-        part = window_partition(x, 2, shifted=shifted)
+        part = WindowPartition(x, 2, shifted)
         merged = part.merge(part.windows)
         assert np.array_equal(merged.data.data, x.data.data)
 
 
 def test_partition_normal_4x4_window2_matches_enumeration():
     x = rand_tokens(24, 4, 4, 3)
-    part = window_partition(x, 2, shifted=False)
+    part = WindowPartition(x, 2, False)
     windows = part.windows.data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=False)):
         assert np.array_equal(windows[wi], x.data.data[idxs])
@@ -238,7 +238,7 @@ def test_partition_normal_4x4_window2_matches_enumeration():
 
 def test_partition_shifted_windows_match_enumeration():
     x = rand_tokens(25, 4, 4, 3)
-    part = window_partition(x, 2, shifted=True)
+    part = WindowPartition(x, 2, True)
     windows = part.windows.data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=True)):
         assert np.array_equal(windows[wi], x.data.data[idxs])
@@ -247,7 +247,7 @@ def test_partition_shifted_windows_match_enumeration():
 def test_shifted_mask_matches_brute_force_region_labels():
     grid, window = 4, 2
     x = rand_tokens(26, grid, grid, 3)
-    part = window_partition(x, window, shifted=True)
+    part = WindowPartition(x, window, True)
     assert part.mask is not None
     sets = brute_force_windows(grid, window, shifted=True)
     for wi, idxs in enumerate(sets):
@@ -269,7 +269,7 @@ def test_shifted_mask_matches_brute_force_region_labels():
 
 def test_partition_rejects_indivisible_grid():
     with pytest.raises(DimensionError):
-        window_partition(rand_tokens(27, 3, 3, 2), 2)
+        WindowPartition(rand_tokens(27, 3, 3, 2), 2, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchreg import dataio, models
 from patchreg.cli import main
@@ -174,6 +179,69 @@ def test_register_corrupt_checkpoint_exit_3(tmp_path, synth_dir):
         "--out", str(tmp_path / "reg4"),
     ])
     assert rc == 3
+
+
+def length_prefixed(header: bytes) -> bytes:
+    """The bytes after a checkpoint's magic: u32 header length, header, empty payload."""
+    return struct.pack("<I", len(header)) + header
+
+
+def register_with_checkpoint(directory, tail: bytes) -> tuple[int, str]:
+    """Run ``patchreg register`` on checkpoint ``PRCK`` + ``tail``; return exit code, stderr."""
+    ckpt = directory / "bad.prck"
+    ckpt.write_bytes(b"PRCK" + tail)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([
+            "register", "--checkpoint", str(ckpt),
+            "--fix", str(directory / "fix.pgm"), "--mov", str(directory / "mov.pgm"),
+            "--out", str(directory / "reg"),
+        ])
+    return rc, err.getvalue()
+
+
+def assert_one_line_exit_3(rc: int, err: str) -> None:
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"\0\0",
+        length_prefixed(b"{}"),
+        length_prefixed(json.dumps({"sha256": hashlib.sha256(b"").hexdigest()}).encode()),
+        length_prefixed(b"[1]"),
+    ],
+    ids=["truncated-length", "empty-object", "sha256-only", "list"],
+)
+def test_register_malformed_checkpoint_exit_3(tmp_path, tail):
+    assert_one_line_exit_3(*register_with_checkpoint(tmp_path, tail))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["sha256", "config", "params", "format_version"]), inner),
+    max_leaves=8,
+)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(length_prefixed),
+        _json_values.map(lambda v: length_prefixed(json.dumps(v).encode())),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_register_fuzzed_checkpoint_exit_3(fuzz_dir, tail):
+    assert_one_line_exit_3(*register_with_checkpoint(fuzz_dir, tail))
 
 
 # ---------------------------------------------------------------------------

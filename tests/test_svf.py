@@ -19,6 +19,7 @@ from patchreg.svf import (
     random_smooth_velocity,
     read_field,
     resample_field,
+    sample,
     warp_image,
     write_field,
 )
@@ -228,6 +229,55 @@ def test_resample_is_differentiable():
     out = resample_field(VectorField(t, VELOCITY), 16, 16)
     backward(sum_all(out.data))
     assert np.abs(t.grad).sum() > 0
+
+
+def central_differences(build, t: Tensor, step=1e-6) -> np.ndarray:
+    """d build() / d t for every entry of ``t``, by float64 central differences."""
+    fd = np.zeros_like(t.data)
+    for idx in range(t.size):
+        orig = t.data.flat[idx]
+        t.data.flat[idx] = orig + step
+        fp = build().item()
+        t.data.flat[idx] = orig - step
+        fm = build().item()
+        t.data.flat[idx] = orig
+        fd.flat[idx] = (fp - fm) / (2 * step)
+    return fd
+
+
+@pytest.mark.parametrize("new_h,new_w", [(11, 17), (4, 5)], ids=["up", "down"])
+def test_resample_gradients_match_finite_differences(new_h, new_w):
+    rng = np.random.default_rng(12)
+    t = Tensor(rng.normal(size=(2, 6, 9)))
+    r = Tensor(rng.normal(size=(2, new_h, new_w)))
+
+    def build():
+        return sum_all(mul(resample_field(VectorField(t, VELOCITY), new_h, new_w).data, r))
+
+    backward(build())
+    assert np.allclose(t.grad, central_differences(build, t), rtol=1e-6, atol=1e-8)
+
+
+def test_sample_gradients_vanish_where_coordinates_clamp():
+    rng = np.random.default_rng(13)
+    img = Tensor(rng.uniform(size=(2, 6, 7)))
+    grid = identity_grid(5, 8)
+    # offsets reach up to 4 px past every edge of the 6x7 image
+    disp = Tensor(rng.uniform(-4.0, 4.0, size=(2, 5, 8)))
+    r = Tensor(rng.normal(size=(2, 5, 8)))
+
+    def build():
+        return sum_all(mul(sample(img, grid, disp), r))
+
+    backward(build())
+    x, y = grid + disp.data
+    clamped_x = (x <= 0) | (x >= 6)
+    clamped_y = (y <= 0) | (y >= 5)
+    assert clamped_x.any() and clamped_y.any() and not (clamped_x & clamped_y).all()
+    assert np.all(disp.grad[0][clamped_x] == 0.0)
+    assert np.all(disp.grad[1][clamped_y] == 0.0)
+    assert np.allclose(disp.grad, central_differences(build, disp), rtol=1e-5, atol=1e-8)
+    assert np.allclose(img.grad, central_differences(build, img), rtol=1e-6, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
