@@ -23,8 +23,14 @@ from .svf import FieldKindError, compose_displacements, mean_interior_magnitude
 from .training import TrainConfig, TrainingDiverged, symmetric_loss
 
 
+def _section(raw: dict, name: str) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config '{name}' section must be a JSON object")
+    return dict(section)
+
+
 def _resolve_model_config(section: dict) -> models.ModelConfig:
-    section = dict(section)
     base = preset(section.pop("preset")) if "preset" in section else models.ModelConfig()
     d = base.to_dict()
     if "scales" in section:
@@ -37,14 +43,18 @@ def _resolve_model_config(section: dict) -> models.ModelConfig:
 
 def cmd_train(args) -> int:
     raw = json.loads(Path(args.config).read_text())
-    model_cfg = _resolve_model_config(raw.get("model", {}))
-    train_cfg = TrainConfig.from_dict(raw.get("train", {}))
-    data = raw.get("data", {})
-    if "manifest" not in data:
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object with model/train/data sections")
+    model_cfg = _resolve_model_config(_section(raw, "model"))
+    train_cfg = TrainConfig.from_dict(_section(raw, "train"))
+    data = _section(raw, "data")
+    if not isinstance(data.get("manifest"), str):
         raise ConfigError("config 'data' section needs a 'manifest' path")
     manifest = (Path(args.config).parent / data["manifest"]).resolve()
     train_split = data.get("train_split", "train")
     val_split = data.get("val_split", "val")
+    if not isinstance(train_split, str) or not isinstance(val_split, str):
+        raise ConfigError("config 'data' splits must be strings")
     if args.seed is not None:
         model_cfg.seed = args.seed
         train_cfg.seed = args.seed
@@ -262,6 +272,7 @@ def main(argv=None) -> int:
         dataio.ManifestError,
         dataio.PgmParseError,
         FileNotFoundError,
+        IsADirectoryError,
         NotADirectoryError,
         json.JSONDecodeError,
         ValueError,

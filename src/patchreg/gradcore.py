@@ -87,29 +87,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else cadd(self, other)
-
-    def __radd__(self, other):
-        return cadd(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else cadd(self, -other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else cmul(self, other)
-
-    def __rmul__(self, other):
-        return cmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not a supported kernel")
-        return cmul(self, 1.0 / other)
-
     def backward(self) -> None:
         backward(self)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,45 @@ FAMILIES = ("pure_mlp", "mlp_mixer", "swin_trans")
 
 class ConfigError(ValueError):
     """A model or training configuration is invalid."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON value check per dataclass field annotation; nested sections
+# (scales, augment) are checked by their own parsers
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[float, float]": lambda v: (
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+    ),
+}
+
+
+def config_section(cls, d, where: str) -> dict:
+    """Copy of JSON object ``d`` after checking that each key is a field
+    of dataclass ``cls`` holding a value of the field's type."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in d.items():
+        if key not in types:
+            raise ConfigError(f"{where} has unknown field {key!r}")
+        check = _FIELD_CHECKS.get(types[key])
+        if check is not None and not check(value):
+            raise ConfigError(
+                f"{where} field {key!r} must be {types[key]}, got {type(value).__name__}"
+            )
+    return dict(d)
 
 
 @dataclass
@@ -89,9 +128,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
+        d = config_section(cls, d, "model config")
+        scales = d.pop("scales", None)
+        if not isinstance(scales, list):
+            raise ConfigError("model config needs a 'scales' list")
         try:
-            scales = [ScaleConfig(**s) for s in d.pop("scales")]
+            scales = [ScaleConfig(**config_section(ScaleConfig, s, "model scale")) for s in scales]
             return cls(scales=scales, **d)
         except TypeError as e:
             raise ConfigError(f"bad model config field: {e}") from e
@@ -101,15 +143,19 @@ class ModelConfig:
             raise ConfigError(f"unknown family '{self.family}' (expected one of {FAMILIES})")
         if not self.scales:
             raise ConfigError("a model needs at least one scale")
-        if self.dim < 1 or self.depth_extract < 0 or self.depth_cross < 1:
-            raise ConfigError("dim must be >= 1 and depth_cross >= 1")
+        if min(self.dim, self.depth_cross, self.image_size, self.hidden_ratio) < 1:
+            raise ConfigError("dim, depth_cross, image_size and hidden_ratio must be >= 1")
+        if min(self.depth_extract, self.integration_steps) < 0:
+            raise ConfigError("depth_extract and integration_steps must be >= 0")
         for s in self.scales:
+            if s.patch < 1:
+                raise ConfigError(f"patch {s.patch} must be >= 1")
             if self.image_size % s.patch:
                 raise ConfigError(f"patch {s.patch} does not divide image size {self.image_size}")
             grid = self.image_size // s.patch
             if self.family == "swin_trans":
-                if s.window is None or s.heads is None:
-                    raise ConfigError("swin scales need window and heads")
+                if s.window is None or s.heads is None or min(s.window, s.heads) < 1:
+                    raise ConfigError("swin scales need window and heads >= 1")
                 if grid % s.window:
                     raise ConfigError(
                         f"window {s.window} does not divide token grid {grid} "
@@ -358,8 +404,8 @@ def preset(name: str) -> ModelConfig:
             image_size=64,
         ),
     }
-    if name not in presets:
-        raise ConfigError(f"unknown preset '{name}' (available: {sorted(presets)})")
+    if not isinstance(name, str) or name not in presets:
+        raise ConfigError(f"unknown preset {name!r} (available: {sorted(presets)})")
     return presets[name]
 
 

@@ -25,7 +25,7 @@ from .gradcore import (
     slice_tensor,
     sub,
 )
-from .models import ConfigError, RegistrationModel, RegistrationResult, save_checkpoint
+from .models import ConfigError, RegistrationModel, RegistrationResult, config_section, save_checkpoint
 from .svf import VectorField, aligned_grid, identity_grid, sample, warp_image
 
 AUGMENT_PROB = 0.5  # per-transform apply probability, fixed
@@ -75,7 +75,7 @@ class AugmentationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentationSpec":
-        d = dict(d)
+        d = config_section(cls, d, "train config 'augment'")
         for k in ("contrast_range", "sharpen_amount", "blur_sigma"):
             if k in d:
                 d[k] = tuple(d[k])
@@ -115,13 +115,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        try:
-            if "augment" in d:
-                d["augment"] = AugmentationSpec.from_dict(d["augment"])
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad train config field: {e}") from e
+        d = config_section(cls, d, "train config")
+        if "augment" in d:
+            d["augment"] = AugmentationSpec.from_dict(d["augment"])
+        return cls(**d)
 
 
 class TrainingDiverged(RuntimeError):

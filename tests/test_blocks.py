@@ -104,7 +104,7 @@ def test_patch_embed_indivisible_size():
 def test_mlp_block_zeroed_second_linear_is_identity():
     ps = ParamSet(4, dtype=np.float64)
     block = MlpBlock(ps, "b", dim=6)
-    block.w2.data[...] = 0.0
+    block.mlp.w2.data[...] = 0.0
     x = rand_tokens(5, 3, 4, 6)
     out = block(x)
     assert np.array_equal(out.data.data, x.data.data)
@@ -128,10 +128,10 @@ def test_mlp_block_matches_straight_line_recomposition():
     randomize(ps, 11)
     x = rand_tokens(12, 2, 3, 6)
     out = block(x).data.data
-    t = np_layer_norm(x.data.data, block.norm_g.data, block.norm_b.data)
-    t = t @ block.w1.data + block.b1.data
+    t = np_layer_norm(x.data.data, block.mlp.norm_g.data, block.mlp.norm_b.data)
+    t = t @ block.mlp.w1.data + block.mlp.b1.data
     t = np_gelu(t)
-    t = t @ block.w2.data + block.b2.data
+    t = t @ block.mlp.w2.data + block.mlp.b2.data
     assert np.array_equal(out, x.data.data + t)
 
 
@@ -142,8 +142,8 @@ def test_mlp_block_matches_straight_line_recomposition():
 def test_mixer_block_zeroed_second_linears_is_identity():
     ps = ParamSet(13, dtype=np.float64)
     block = MixerBlock(ps, "b", dim=5, n_tokens=12)
-    block.tok_w2.data[...] = 0.0
-    block.ch_w2.data[...] = 0.0
+    block.tok.w2.data[...] = 0.0
+    block.ch.w2.data[...] = 0.0
     x = rand_tokens(14, 3, 4, 5)
     assert np.array_equal(block(x).data.data, x.data.data)
 
@@ -154,10 +154,10 @@ def test_mixer_token_mixing_keeps_constant_rows_constant():
     ps = ParamSet(15, dtype=np.float64)
     block = MixerBlock(ps, "b", dim=4, n_tokens=9)
     randomize(ps, 16)
-    block.tok_norm_b.data[...] = 0.0
-    block.tok_b1.data[...] = 0.0
-    block.tok_b2.data[...] = 0.0
-    block.ch_w2.data[...] = 0.0  # silence channel mixing to observe token sublayer
+    block.tok.norm_b.data[...] = 0.0
+    block.tok.b1.data[...] = 0.0
+    block.tok.b2.data[...] = 0.0
+    block.ch.w2.data[...] = 0.0  # silence channel mixing to observe token sublayer
     row = np.random.default_rng(17).normal(size=4)
     x = TokenMap(3, 3, Tensor(np.tile(row, (9, 1))))
     out = block(x).data.data
@@ -172,15 +172,15 @@ def test_mixer_block_matches_straight_line_recomposition():
     out = block(x).data.data
 
     t = x.data.data.T
-    t = np_layer_norm(t, block.tok_norm_g.data, block.tok_norm_b.data)
-    t = t @ block.tok_w1.data + block.tok_b1.data
+    t = np_layer_norm(t, block.tok.norm_g.data, block.tok.norm_b.data)
+    t = t @ block.tok.w1.data + block.tok.b1.data
     t = np_gelu(t)
-    t = t @ block.tok_w2.data + block.tok_b2.data
+    t = t @ block.tok.w2.data + block.tok.b2.data
     y = x.data.data + t.T
-    t = np_layer_norm(y, block.ch_norm_g.data, block.ch_norm_b.data)
-    t = t @ block.ch_w1.data + block.ch_b1.data
+    t = np_layer_norm(y, block.ch.norm_g.data, block.ch.norm_b.data)
+    t = t @ block.ch.w1.data + block.ch.b1.data
     t = np_gelu(t)
-    t = t @ block.ch_w2.data + block.ch_b2.data
+    t = t @ block.ch.w2.data + block.ch.b2.data
     assert np.array_equal(out, y + t)
 
 
@@ -223,31 +223,30 @@ def brute_force_region(i, grid, window):
 def test_partition_round_trip_bit_exact():
     for shifted in (False, True):
         x = rand_tokens(23, 4, 4, 5)
-        part = WindowPartition(x, 2, shifted)
-        merged = part.merge(part.windows)
-        assert np.array_equal(merged.data.data, x.data.data)
+        part = WindowPartition(4, 4, 2, shifted)
+        merged = part.merge(part.split(x.data))
+        assert np.array_equal(merged.data, x.data.data)
 
 
 def test_partition_normal_4x4_window2_matches_enumeration():
     x = rand_tokens(24, 4, 4, 3)
-    part = WindowPartition(x, 2, False)
-    windows = part.windows.data
+    part = WindowPartition(4, 4, 2, False)
+    windows = part.split(x.data).data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=False)):
         assert np.array_equal(windows[wi], x.data.data[idxs])
 
 
 def test_partition_shifted_windows_match_enumeration():
     x = rand_tokens(25, 4, 4, 3)
-    part = WindowPartition(x, 2, True)
-    windows = part.windows.data
+    part = WindowPartition(4, 4, 2, True)
+    windows = part.split(x.data).data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=True)):
         assert np.array_equal(windows[wi], x.data.data[idxs])
 
 
 def test_shifted_mask_matches_brute_force_region_labels():
     grid, window = 4, 2
-    x = rand_tokens(26, grid, grid, 3)
-    part = WindowPartition(x, window, True)
+    part = WindowPartition(grid, grid, window, True)
     assert part.mask is not None
     sets = brute_force_windows(grid, window, shifted=True)
     for wi, idxs in enumerate(sets):
@@ -269,7 +268,7 @@ def test_shifted_mask_matches_brute_force_region_labels():
 
 def test_partition_rejects_indivisible_grid():
     with pytest.raises(DimensionError):
-        WindowPartition(rand_tokens(27, 3, 3, 2), 2, False)
+        WindowPartition(3, 3, 2, False)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +328,9 @@ def swin_reference(block, fix, mov, grid):
                 for a, ta in enumerate(q_idxs):
                     total[ta, h * dh : (h + 1) * dh] += attn[a] @ vh
     y = fix + (total @ block.wo.data + block.bo.data)
-    t = np_layer_norm(y, block.mlp_norm_g.data, block.mlp_norm_b.data)
-    t = np_gelu(t @ block.mlp_w1.data + block.mlp_b1.data)
-    return y + (t @ block.mlp_w2.data + block.mlp_b2.data)
+    t = np_layer_norm(y, block.mlp.norm_g.data, block.mlp.norm_b.data)
+    t = np_gelu(t @ block.mlp.w1.data + block.mlp.b1.data)
+    return y + (t @ block.mlp.w2.data + block.mlp.b2.data)
 
 
 def test_swin_block_matches_dense_attention_oracle():
@@ -370,9 +369,9 @@ def test_swin_block_zero_values_reduces_to_residual_path():
     mov = rand_tokens(40, grid, grid, dim)
     out = block(fix, mov).data.data
     y = fix.data.data
-    t = np_layer_norm(y, block.mlp_norm_g.data, block.mlp_norm_b.data)
-    t = np_gelu(t @ block.mlp_w1.data + block.mlp_b1.data)
-    expected = y + (t @ block.mlp_w2.data + block.mlp_b2.data)
+    t = np_layer_norm(y, block.mlp.norm_g.data, block.mlp.norm_b.data)
+    t = np_gelu(t @ block.mlp.w1.data + block.mlp.b1.data)
+    expected = y + (t @ block.mlp.w2.data + block.mlp.b2.data)
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -391,6 +390,18 @@ def test_swin_block_permutation_equivariance_whole_grid():
         TokenMap(grid, grid, Tensor(mov.data.data[perm])),
     ).data.data
     assert np.allclose(base[perm], out_perm, atol=1e-10)
+
+
+def test_swin_block_rejects_wrong_grid():
+    # 2x8 has the 4x4 grid's token count and is divisible by the window,
+    # so only the grid check stops the built layouts permuting it
+    ps = ParamSet(46, dtype=np.float64)
+    block = SwinCrossBlock(ps, "s", 8, 4, 4, window=2, heads=2)
+    good = rand_tokens(47, 4, 4, 8)
+    for bad in (rand_tokens(48, 2, 8, 8), rand_tokens(49, 4, 8, 8)):
+        for fix, mov in ((bad, bad), (good, bad), (bad, good)):
+            with pytest.raises(DimensionError):
+                block(fix, mov)
 
 
 # ---------------------------------------------------------------------------

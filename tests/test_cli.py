@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -119,6 +120,95 @@ def test_train_missing_manifest_exit_2(tmp_path, capsys):
     assert "manifest.csv" in capsys.readouterr().err
 
 
+def assert_one_line_error(rc: int, err: str, code: int) -> None:
+    assert rc == code
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def train_with_config(directory, config) -> tuple[int, str]:
+    """Run ``patchreg train`` on ``config`` written as JSON; return exit code, stderr."""
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["train", "--config", str(path), "--out", str(directory / "out")])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1],
+        {"model": [1]},
+        {"train": [1]},
+        {"data": {"manifest": 3}},
+        {"model": {"dim": "x"}},
+        {"model": {"scales": [{"patch": "4"}]}},
+    ],
+    ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str"],
+)
+def test_train_malformed_config_exit_2(tmp_path, config):
+    assert_one_line_error(*train_with_config(tmp_path, config), 2)
+
+
+# a valid config whose manifest does not exist; the fuzz replaces one
+# field (or the whole config) with random JSON, so every case ends before
+# training, in exit 2
+_VALID_CONFIG = {
+    "model": {
+        "preset": "swin_trans_desk",
+        "dim": 16,
+        "scales": [{"patch": 4, "window": 4, "heads": 4, "weight": 1.0}],
+    },
+    "train": {
+        "lr": 1e-3, "max_epochs": 2, "patience": 1, "batch_size": 1, "precision": "f32",
+        "augment": {"rotate": False, "contrast_range": [0.8, 1.2]},
+    },
+    "data": {"manifest": "absent.csv", "train_split": "train", "val_split": "val"},
+}
+_CONFIG_PATHS = (
+    [()]
+    + [(section,) for section in _VALID_CONFIG]
+    + [(section, key) for section, fields in _VALID_CONFIG.items() for key in fields]
+    + [("model", "scales", 0, key) for key in ("patch", "window", "heads", "weight")]
+    + [("train", "augment", "rotate"), ("train", "augment", "contrast_range")]
+)
+_config_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+    | st.sampled_from(["pure_mlp_desk", "swin_trans", "f64", "train"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["model", "train", "data", "preset", "scales", "patch", "window",
+                         "heads", "dim", "lr", "augment", "manifest", "val_split"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=10,
+)
+
+
+def _replace(path, value):
+    if not path:
+        return value
+    config = copy.deepcopy(_VALID_CONFIG)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+@given(st.sampled_from(_CONFIG_PATHS), _config_values)
+@settings(max_examples=120, deadline=None)
+def test_train_fuzzed_config_exit_2(fuzz_dir, path, value):
+    assert_one_line_error(*train_with_config(fuzz_dir, _replace(path, value)), 2)
+
+
 # ---------------------------------------------------------------------------
 # register
 
@@ -200,11 +290,6 @@ def register_with_checkpoint(directory, tail: bytes) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
-def assert_one_line_exit_3(rc: int, err: str) -> None:
-    assert rc == 3
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-
-
 @pytest.mark.parametrize(
     "tail",
     [
@@ -216,12 +301,7 @@ def assert_one_line_exit_3(rc: int, err: str) -> None:
     ids=["truncated-length", "empty-object", "sha256-only", "list"],
 )
 def test_register_malformed_checkpoint_exit_3(tmp_path, tail):
-    assert_one_line_exit_3(*register_with_checkpoint(tmp_path, tail))
-
-
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
+    assert_one_line_error(*register_with_checkpoint(tmp_path, tail), 3)
 
 
 _json_values = st.recursive(
@@ -241,7 +321,7 @@ _json_values = st.recursive(
 )
 @settings(max_examples=60, deadline=None)
 def test_register_fuzzed_checkpoint_exit_3(fuzz_dir, tail):
-    assert_one_line_exit_3(*register_with_checkpoint(fuzz_dir, tail))
+    assert_one_line_error(*register_with_checkpoint(fuzz_dir, tail), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 loop-level oracle, determinism, shared extractor weights, checkpoints."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,25 @@ def test_swin_forward_deterministic_hash(pair32):
         return hashlib.sha256(v.array.tobytes()).hexdigest()
 
     assert run() == run()
+
+
+PARAM_TABLES = json.loads((Path(__file__).parent / "data" / "param_tables.json").read_text())
+
+
+def test_param_tables_cover_every_preset():
+    assert sorted(PARAM_TABLES) == sorted(models.PRESET_NAMES)
+
+
+@pytest.mark.parametrize("name", models.PRESET_NAMES)
+def test_preset_parameter_table_is_pinned(name):
+    # names, shapes, creation order and seeded float32 values decide
+    # whether saved checkpoints still load into the same network
+    params = init_model(preset(name)).params
+    assert [[n, list(t.shape)] for n, t in params.items()] == PARAM_TABLES[name]["params"]
+    digest = hashlib.sha256()
+    for _, t in params.items():
+        digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    assert digest.hexdigest() == PARAM_TABLES[name]["sha256"]
 
 
 # ---------------------------------------------------------------------------
