@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Provides exactly the differentiable kernels the registration networks
-need. A :class:`Tensor` wraps a float32 or float64 array together with a
-same-shape gradient accumulator; operations record closures on a DAG and
-:func:`backward` replays them in reverse topological order, visiting
-each node once. Gradients accumulate across backward calls until
+need. A :class:`Tensor` wraps a float32 or float64 array; operations
+record closures on a DAG and :func:`backward` replays them in reverse
+topological order, visiting each node once. Only leaves (parameters,
+inputs) keep a ``grad`` array: it is created by the first gradient that
+reaches the leaf (parameters get a zeroed one at creation), and
+intermediate gradients are dropped as soon as they have been passed on.
+Gradients accumulate at the leaves across backward calls until
 explicitly zeroed, so training loops must zero parameter grads between
 steps.
 
@@ -44,9 +47,11 @@ def set_grad_fault(enabled: bool) -> None:
 class Tensor:
     """Array value plus gradient slot, optionally produced by a graph node.
 
-    ``data`` and ``grad`` always share shape and dtype. Leaf tensors
-    (parameters, inputs) have no parents; non-leaf tensors carry the
-    closure that routes an incoming gradient to their parents.
+    Leaf tensors (parameters, inputs) have no parents; their ``grad`` is
+    None until a gradient reaches them, then an array of the same shape
+    and dtype as ``data``. Non-leaf tensors carry the closure that
+    routes an incoming gradient to their parents, and their ``grad``
+    stays None.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
@@ -56,7 +61,7 @@ class Tensor:
         if arr.dtype.type not in _FLOAT_TYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = np.zeros_like(arr)
+        self.grad = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -82,7 +87,8 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
@@ -94,7 +100,7 @@ class Tensor:
 def _node(data, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = np.zeros_like(data)
+    out.grad = None
     out._parents = parents
     out._backward = backward_fn
     return out
@@ -229,14 +235,29 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """Index along axis 0; backward scatter-adds (duplicate indices sum)."""
+    """Index along axis 0; duplicate indices sum in the backward.
+
+    When ``idx`` is a permutation of the rows the backward is a gather
+    by the inverse permutation; otherwise it is one ``np.bincount``.
+    """
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
+    n = a.shape[0]
+    rows = idx.ravel() % max(n, 1)  # negative indices count from the end
+    if rows.size == n and np.all(np.bincount(rows, minlength=n) == 1):
+        inv = np.empty_like(rows)
+        inv[rows] = np.arange(n, dtype=np.intp)
 
-    def backward_fn(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        return (z,)
+        def backward_fn(g):
+            return (g.reshape((n,) + a.shape[1:])[inv],)
+
+    else:
+
+        def backward_fn(g):
+            m = a.size // max(n, 1)
+            flat = rows[:, None] * m + np.arange(m, dtype=np.intp)
+            z = np.bincount(flat.ravel(), g.ravel(), minlength=a.size)
+            return (z.reshape(a.shape).astype(a.dtype),)
 
     return _node(data, (a,), backward_fn)
 
@@ -329,15 +350,19 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation.
+
+    Powers are written as products: numpy's float ``pow`` costs many
+    times more than the multiplies.
+    """
     x = as_tensor(x)
-    u = _GELU_C * (x.data + 0.044715 * x.data**3)
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    xd = x.data
+    t = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
+    data = 0.5 * xd * (1.0 + t)
 
     def backward_fn(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
-        d = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
+        d = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
         if _GRAD_FAULT:
             d = -d
         return (g * d,)
@@ -352,9 +377,9 @@ def softmax(x: Tensor) -> Tensor:
     least one entry per row is finite.
     """
     x = as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
         return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
@@ -386,11 +411,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into ``grad`` of every reachable node.
+    """Accumulate d(root)/d(leaf) into ``grad`` of every reachable leaf.
 
     The root must be scalar. Each node is visited exactly once, in
-    reverse topological order; repeated calls without zeroing add their
-    gradients on top of the previous ones.
+    reverse topological order. A non-leaf node's gradient lives only
+    until it has been passed to its parents; only leaves keep ``grad``.
+    Repeated calls without zeroing add their gradients on top of the
+    previous ones.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
@@ -400,8 +427,11 @@ def backward(root: Tensor) -> None:
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        node.grad += g
         if node._backward is None:
+            if node.grad is None:
+                node.grad = np.array(g, dtype=node.data.dtype)
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None:
@@ -455,6 +485,7 @@ class ParamSet:
         else:
             raise ContractError(f"unknown init '{init}'")
         t = Tensor(arr.astype(self.dtype))
+        t.grad = np.zeros_like(t.data)  # Adam reads it before any backward
         self._params[name] = t
         return t
 

@@ -19,6 +19,7 @@ from .gradcore import (
     Tensor,
     add,
     as_tensor,
+    backward,
     cmul,
     mean_all,
     mul,
@@ -95,6 +96,8 @@ class TrainConfig:
     augment: AugmentationSpec = field(default_factory=AugmentationSpec)
 
     def validate(self) -> None:
+        if not (math.isfinite(self.lr) and math.isfinite(self.lam)):
+            raise ConfigError("lr and lam must be finite")
         if self.lr <= 0 or self.lam <= 0:
             raise ConfigError("lr and lam must be positive")
         if self.patience > self.max_epochs:
@@ -331,6 +334,12 @@ def train(
     """Epoch loop with shuffled batches, paired augmentation on the
     training split only, and early stopping on validation loss.
 
+    Each pair's loss, scaled by 1/batch, is backpropagated on its own
+    and its graph freed before the next pair's forward, so the parameter
+    grads sum to the gradient of the batch mean while at most one pair's
+    graph is alive: memory does not grow with the batch size. The logged
+    batch loss is the mean of the pair losses.
+
     Keeps the best-validation parameter snapshot; when ``out_dir`` is
     given, writes ``log.csv``, ``checkpoint.prck`` (final) and
     ``best_checkpoint.prck``.
@@ -354,21 +363,22 @@ def train(
         epoch_losses: list[float] = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_pairs[i] for i in order[start : start + cfg.batch_size]]
-            batch_loss: Tensor | None = None
+            model.params.zero_grads()
+            pair_losses: list[float] = []
             for pair in batch:
                 fix, mov = augment_pair(pair.fix, pair.mov, cfg.augment, rng)
                 fix = fix.astype(cfg.dtype)
                 mov = mov.astype(cfg.dtype)
                 loss = _pair_loss(model, fix, mov, cfg)
-                if not math.isfinite(loss.item()):
-                    raise TrainingDiverged(epoch, getattr(pair, "pair_id", "?"), loss.item())
-                batch_loss = loss if batch_loss is None else add(batch_loss, loss)
-            batch_loss = cmul(batch_loss, 1.0 / len(batch))
-            model.params.zero_grads()
-            batch_loss.backward()
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingDiverged(epoch, getattr(pair, "pair_id", "?"), value)
+                backward(cmul(loss, 1.0 / len(batch)))
+                del loss  # free this pair's graph before the next forward
+                pair_losses.append(value)
             optimizer.step()
             steps += 1
-            epoch_losses.append(batch_loss.item())
+            epoch_losses.append(float(np.mean(pair_losses)))
         val_loss = evaluate_loss(model, val_pairs, cfg)
         if not math.isfinite(val_loss):
             raise TrainingDiverged(epoch, "<validation>", val_loss)

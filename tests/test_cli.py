@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -140,6 +141,11 @@ def train_with_config(directory, config) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
+# the synth_dir manifest, relative to the config file: with it only the
+# config check stands between a bad rate and a training run
+_SYNTH_DATA = {"manifest": "data/manifest.csv", "val_split": "train"}
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -149,10 +155,13 @@ def train_with_config(directory, config) -> tuple[int, str]:
         {"data": {"manifest": 3}},
         {"model": {"dim": "x"}},
         {"model": {"scales": [{"patch": "4"}]}},
+        {"model": {"preset": "pure_mlp_desk"}, "train": {"lr": math.nan}, "data": _SYNTH_DATA},
+        {"model": {"preset": "pure_mlp_desk"}, "train": {"lam": math.inf}, "data": _SYNTH_DATA},
     ],
-    ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str"],
+    ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
+         "lr-nan", "lam-inf"],
 )
-def test_train_malformed_config_exit_2(tmp_path, config):
+def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)
 
 

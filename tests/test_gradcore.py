@@ -194,6 +194,24 @@ def test_softmax_with_minus_inf_mask():
 
 
 # ---------------------------------------------------------------------------
+# gather_rows
+
+
+def test_gather_rows_permutation_finite_difference():
+    perm = np.random.default_rng(3).permutation(6)
+    x = np.random.default_rng(4).normal(size=(6, 3))
+    err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], perm)), [x])
+    assert err < 1e-7
+
+
+def test_gather_rows_duplicated_index_finite_difference():
+    idx = np.array([[4, 0, 4], [1, 4, 0]])  # row 4 thrice, rows 2 and 3 never
+    x = np.random.default_rng(5).normal(size=(5, 2))
+    err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], idx)), [x])
+    assert err < 1e-7
+
+
+# ---------------------------------------------------------------------------
 # backward semantics
 
 
@@ -228,6 +246,30 @@ def test_backward_accumulates_on_repeat():
     backward(loss)
     backward(loss)
     assert x.grad.tolist() == [4.0, 8.0]
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    x = Tensor(np.random.default_rng(9).normal(size=(3, 4)))
+    w = Tensor(np.random.default_rng(10).normal(size=(4, 4)))
+    nodes = [matmul(x, w)]
+    nodes.append(gelu(nodes[-1]))
+    nodes.append(softmax(nodes[-1]))
+    nodes.append(gc.sum_all(gc.mul(nodes[-1], nodes[0])))
+    assert x.grad is None and w.grad is None
+    backward(nodes[-1])
+    assert all(n.grad is None for n in nodes)
+    assert x.grad.shape == x.shape and x.grad.dtype == x.dtype
+    assert w.grad.shape == w.shape and w.grad.dtype == w.dtype
+
+
+def test_leaf_grad_is_created_in_leaf_dtype_and_zeroable():
+    x = Tensor(np.ones(3, dtype=np.float32))
+    x.zero_grad()
+    assert x.grad is None
+    backward(gc.sum_all(x))  # the incoming gradient is a read-only broadcast view
+    assert x.grad.dtype == np.float32 and x.grad.tolist() == [1.0, 1.0, 1.0]
+    x.zero_grad()
+    assert x.grad.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_deep_chain_does_not_recurse():

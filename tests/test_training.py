@@ -2,13 +2,17 @@
 training loop's early-stopping/determinism behavior."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patchreg import dataio, models, training
 from patchreg.dataio import ImagePair
-from patchreg.gradcore import ParamSet, Tensor, backward, grad_check
+from patchreg.gradcore import ParamSet, Tensor, add, backward, cmul, grad_check
 from patchreg.models import ConfigError, RegistrationResult, init_model
 from patchreg.svf import DISPLACEMENT, VectorField, random_smooth_velocity
 from patchreg.training import (
@@ -322,6 +326,57 @@ def test_training_writes_artifacts(tmp_path):
     assert (tmp_path / "best_checkpoint.prck").is_file()
     header = (tmp_path / "log.csv").read_text().splitlines()[0]
     assert header == "epoch,train_loss,val_loss,seconds"
+
+
+def test_per_pair_backward_matches_single_batch_graph():
+    pairs = [desk_pair(seed) for seed in (3, 4, 5)]
+    cfg = quick_config(max_epochs=1, patience=1, batch_size=3, precision="f64")
+    model = init_model(models.preset("swin_trans_desk"), dtype=np.float64, head_init="random")
+    ref = init_model(models.preset("swin_trans_desk"), dtype=np.float64, head_init="random")
+    train(model, pairs, pairs[:1], cfg)  # one batch: grads are those at the initial params
+    # the single-graph recipe: mean of the pair losses, one backward
+    losses = [
+        training._pair_loss(ref, p.fix.astype(np.float64), p.mov.astype(np.float64), cfg) for p in pairs
+    ]
+    backward(cmul(add(add(losses[0], losses[1]), losses[2]), 1.0 / 3))
+    for name in ref.params.names():
+        want = ref.params[name].grad
+        np.testing.assert_allclose(
+            model.params[name].grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name
+        )
+
+
+_PEAK_RSS_SCRIPT = """
+import resource, sys
+from patchreg import dataio, models
+from patchreg.dataio import ImagePair
+from patchreg.training import AugmentationSpec, TrainConfig, train
+
+n = int(sys.argv[1])
+pairs = []
+for i in range(n):
+    p = dataio.synth_pair(i, size=128, max_disp=3.0)
+    pairs.append(ImagePair(str(i), p.fix, p.mov))
+model = models.init_model(models.preset("swin_trans_s"))
+cfg = TrainConfig(max_epochs=1, patience=0, batch_size=n, augment=AugmentationSpec.none())
+train(model, pairs, pairs[:1], cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_training_memory_does_not_grow_with_batch():
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def peak_rss(n_pairs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n_pairs)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1])
+
+    assert peak_rss(4) <= 1.2 * peak_rss(2)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
