@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,20 +24,23 @@ from .svf import FieldKindError, compose_displacements, mean_interior_magnitude
 from .training import TrainConfig, TrainingDiverged, symmetric_loss
 
 
-def _section(raw: dict, name: str) -> dict:
-    section = raw.get(name, {})
+@dataclass
+class DataConfig:
+    """The ``data`` section: manifest path (relative to the config file) and split names."""
+
+    manifest: str
+    train_split: str = "train"
+    val_split: str = "val"
+
+
+def _resolve_model_config(section) -> models.ModelConfig:
+    """``section["preset"]`` (default: ``ModelConfig()``) with the section's
+    other keys overriding its fields."""
     if not isinstance(section, dict):
-        raise ConfigError(f"config '{name}' section must be a JSON object")
-    return dict(section)
-
-
-def _resolve_model_config(section: dict) -> models.ModelConfig:
-    base = preset(section.pop("preset")) if "preset" in section else models.ModelConfig()
-    d = base.to_dict()
-    if "scales" in section:
-        d["scales"] = section.pop("scales")
-    d.update(section)
-    cfg = models.ModelConfig.from_dict(d)
+        raise ConfigError(f"model must be a JSON object, got {type(section).__name__}")
+    overrides = dict(section)
+    base = preset(overrides.pop("preset")) if "preset" in overrides else models.ModelConfig()
+    cfg = models.ModelConfig.from_dict({**base.to_dict(), **overrides})
     cfg.validate()
     return cfg
 
@@ -45,16 +49,13 @@ def cmd_train(args) -> int:
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object with model/train/data sections")
-    model_cfg = _resolve_model_config(_section(raw, "model"))
-    train_cfg = TrainConfig.from_dict(_section(raw, "train"))
-    data = _section(raw, "data")
-    if not isinstance(data.get("manifest"), str):
-        raise ConfigError("config 'data' section needs a 'manifest' path")
-    manifest = (Path(args.config).parent / data["manifest"]).resolve()
-    train_split = data.get("train_split", "train")
-    val_split = data.get("val_split", "val")
-    if not isinstance(train_split, str) or not isinstance(val_split, str):
-        raise ConfigError("config 'data' splits must be strings")
+    for key in raw:
+        if key not in ("model", "train", "data"):
+            raise ConfigError(f"config has unknown section {key!r}")
+    model_cfg = _resolve_model_config(raw.get("model", {}))
+    train_cfg = TrainConfig.from_dict(raw.get("train", {}))
+    data = models.config_from_dict(DataConfig, raw.get("data", {}), "data")
+    data.manifest = str((Path(args.config).parent / data.manifest).resolve())
     if args.seed is not None:
         model_cfg.seed = args.seed
         train_cfg.seed = args.seed
@@ -65,16 +66,16 @@ def cmd_train(args) -> int:
     resolved = {
         "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(),
-        "data": {"manifest": str(manifest), "train_split": train_split, "val_split": val_split},
+        "data": models.config_to_dict(data),
     }
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
 
-    train_pairs = dataio.load_image_pairs(manifest, train_split, model_cfg.image_size)
-    val_pairs = dataio.load_image_pairs(manifest, val_split, model_cfg.image_size)
+    train_pairs = dataio.load_image_pairs(data.manifest, data.train_split, model_cfg.image_size)
+    val_pairs = dataio.load_image_pairs(data.manifest, data.val_split, model_cfg.image_size)
     if not train_pairs:
-        raise ConfigError(f"no '{train_split}' pairs in {manifest}")
+        raise ConfigError(f"no '{data.train_split}' pairs in {data.manifest}")
     if not val_pairs:
-        raise ConfigError(f"no '{val_split}' pairs in {manifest}")
+        raise ConfigError(f"no '{data.val_split}' pairs in {data.manifest}")
     model = init_model(model_cfg, dtype=train_cfg.dtype)
     result = training.train(model, train_pairs, val_pairs, train_cfg, out_dir=out)
     print(
@@ -167,14 +168,10 @@ def cmd_gradcheck(args) -> int:
     set_grad_fault(args.inject_fault)
     try:
         for family in families:
-            scale = (
-                models.ScaleConfig(patch=args.patch, window=4, heads=4, weight=1.0)
-                if family == "swin_trans"
-                else models.ScaleConfig(patch=args.patch, weight=1.0)
-            )
-            cfg = models.ModelConfig(
-                family=family,
-                scales=[scale],
+            desk = preset(f"{family}_desk")
+            cfg = replace(
+                desk,
+                scales=[replace(desk.scales[0], patch=args.patch)],
                 dim=args.dim,
                 depth_extract=args.depth,
                 depth_cross=args.depth,

@@ -98,8 +98,16 @@ class JacobianStats:
     defined: bool = True
 
     @classmethod
-    def undefined(cls) -> "JacobianStats":
-        return cls(math.nan, math.nan, math.nan, math.nan, defined=False)
+    def of(cls, values: np.ndarray) -> "JacobianStats":
+        """Statistics of determinant values; undefined when there are none."""
+        if values.size == 0:
+            return cls(math.nan, math.nan, math.nan, math.nan, defined=False)
+        return cls(
+            mean=float(values.mean()),
+            std=float(values.std()),
+            min=float(values.min()),
+            neg_frac=float((values <= 0).mean()),
+        )
 
 
 def jacobian_stats(disp: VectorField, roi: np.ndarray, label: int) -> JacobianStats:
@@ -107,16 +115,7 @@ def jacobian_stats(disp: VectorField, roi: np.ndarray, label: int) -> JacobianSt
     roi = np.asarray(roi)
     if roi.shape != (disp.height, disp.width):
         raise DimensionError(f"roi {roi.shape} and field {(disp.height, disp.width)} differ")
-    jac = jacobian_determinant(disp)
-    values = jac[roi == label]
-    if values.size == 0:
-        return JacobianStats.undefined()
-    return JacobianStats(
-        mean=float(values.mean()),
-        std=float(values.std()),
-        min=float(values.min()),
-        neg_frac=float((values <= 0).mean()),
-    )
+    return JacobianStats.of(jacobian_determinant(disp)[roi == label])
 
 
 def endpoint_error(
@@ -237,13 +236,13 @@ def _summary(vals: np.ndarray) -> dict:
 
 
 def worker_count() -> int:
+    """PATCHREG_THREADS, which must be a positive integer, else the core count."""
     env = os.environ.get("PATCHREG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"PATCHREG_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> EvalReport:
@@ -277,11 +276,11 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
             except EmptyStructureError:
                 hd, msd = math.nan, math.nan
             rows.append(StructureRow(pair.pair_id, LABEL_NAMES[label], d, hd, msd))
-        stats = jacobian_stats(disp, pair.ed_mask, MYOCARDIUM)
-        jac = jacobian_determinant(disp)
-        pooled = jac[np.asarray(pair.ed_mask) == MYOCARDIUM].tolist()
+        # dice checked ed_mask against the field's shape
+        values = jacobian_determinant(disp)[np.asarray(pair.ed_mask) == MYOCARDIUM]
+        stats = JacobianStats.of(values)
         jrow = JacobianRow(pair.pair_id, stats.mean, stats.std, stats.min, stats.neg_frac)
-        return ("ok", rows, jrow, pooled)
+        return ("ok", rows, jrow, values.tolist())
 
     report = EvalReport()
     if threads == 1:

@@ -14,10 +14,13 @@ upsampled to image resolution.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,43 +47,59 @@ class ConfigError(ValueError):
     """A model or training configuration is invalid."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def config_from_dict(cls, d, where: str):
+    """Read JSON object ``d`` into config dataclass ``cls``.
 
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# JSON value check per dataclass field annotation; nested sections
-# (scales, augment) are checked by their own parsers
-_FIELD_CHECKS = {
-    "int": _is_int,
-    "int | None": lambda v: v is None or _is_int(v),
-    "float": _is_number,
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "tuple[float, float]": lambda v: (
-        isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
-    ),
-}
-
-
-def config_section(cls, d, where: str) -> dict:
-    """Copy of JSON object ``d`` after checking that each key is a field
-    of dataclass ``cls`` holding a value of the field's type."""
+    Each value is checked against its field's annotation: int, float,
+    bool, str, ``X | None``, ``tuple[...]``, ``list[...]`` or a nested
+    config dataclass, read the same way. Unknown keys, wrong types and
+    missing fields that have no default raise a one-line
+    :class:`ConfigError` that names the key path from ``where``; other
+    missing keys take the field's default.
+    """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    for key, value in d.items():
-        if key not in types:
-            raise ConfigError(f"{where} has unknown field {key!r}")
-        check = _FIELD_CHECKS.get(types[key])
-        if check is not None and not check(value):
-            raise ConfigError(
-                f"{where} field {key!r} must be {types[key]}, got {type(value).__name__}"
-            )
-    return dict(d)
+    hints = get_type_hints(cls)
+    for key in d:
+        if key not in hints:
+            raise ConfigError(f"{where} has unknown key {key!r}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} needs key {f.name!r}")
+    return cls(**{key: _from_json(hints[key], v, f"{where}.{key}") for key, v in d.items()})
+
+
+def _from_json(tp, value, where: str):
+    """JSON ``value`` read as annotation ``tp``; ``where`` is its key path."""
+    if is_dataclass(tp):
+        return config_from_dict(tp, value, where)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType) and type(None) in args:
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _from_json(tp, value, where)
+    if origin is list and isinstance(value, list):
+        return [_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(_from_json(args[i], v, f"{where}[{i}]") for i, v in enumerate(value))
+    # scalars match exactly (a bool is no int), except that an int is a float too
+    if origin is None and (type(value) is tp or tp is float and type(value) is int):
+        return value
+    expected = {list: "a list", tuple: f"a list of {len(args)}"}.get(origin, tp.__name__)
+    raise ConfigError(f"{where} must be {expected}, got {type(value).__name__}")
+
+
+def config_to_dict(obj):
+    """JSON form of config dataclass ``obj``, the inverse of
+    :func:`config_from_dict`: nested dataclasses become objects, tuples
+    become lists, and fields holding None are left out."""
+    if is_dataclass(obj):
+        values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        return {key: config_to_dict(v) for key, v in values.items() if v is not None}
+    if isinstance(obj, (list, tuple)):
+        return [config_to_dict(v) for v in obj]
+    return obj
 
 
 @dataclass
@@ -91,14 +110,6 @@ class ScaleConfig:
     window: int | None = None
     heads: int | None = None
     weight: float = 1.0
-
-    def to_dict(self) -> dict:
-        d = {"patch": self.patch, "weight": self.weight}
-        if self.window is not None:
-            d["window"] = self.window
-        if self.heads is not None:
-            d["heads"] = self.heads
-        return d
 
 
 @dataclass
@@ -114,29 +125,14 @@ class ModelConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "scales": [s.to_dict() for s in self.scales],
-            "dim": self.dim,
-            "depth_extract": self.depth_extract,
-            "depth_cross": self.depth_cross,
-            "image_size": self.image_size,
-            "integration_steps": self.integration_steps,
-            "hidden_ratio": self.hidden_ratio,
-            "seed": self.seed,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = config_section(cls, d, "model config")
-        scales = d.pop("scales", None)
-        if not isinstance(scales, list):
-            raise ConfigError("model config needs a 'scales' list")
-        try:
-            scales = [ScaleConfig(**config_section(ScaleConfig, s, "model scale")) for s in scales]
-            return cls(scales=scales, **d)
-        except TypeError as e:
-            raise ConfigError(f"bad model config field: {e}") from e
+        cfg = config_from_dict(cls, d, "model")
+        if "scales" not in d:
+            raise ConfigError("model needs key 'scales'")
+        return cfg
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -197,12 +193,12 @@ class ChildModel:
         self.embed = PatchEmbed(pset, f"{prefix}.embed", scale.patch, cfg.dim)
         n_tokens = self.grid * self.grid
 
-        def extract_block(i: int):
+        def block(name: str):
             if cfg.family == "mlp_mixer":
-                return MixerBlock(pset, f"{prefix}.extract{i}", cfg.dim, n_tokens, cfg.hidden_ratio)
-            return MlpBlock(pset, f"{prefix}.extract{i}", cfg.dim, cfg.hidden_ratio)
+                return MixerBlock(pset, name, cfg.dim, n_tokens, cfg.hidden_ratio)
+            return MlpBlock(pset, name, cfg.dim, cfg.hidden_ratio)
 
-        self.extract = [extract_block(i) for i in range(cfg.depth_extract)]
+        self.extract = [block(f"{prefix}.extract{i}") for i in range(cfg.depth_extract)]
 
         self.family = cfg.family
         if cfg.family == "swin_trans":
@@ -219,16 +215,8 @@ class ChildModel:
                 )
                 for i in range(cfg.depth_cross)
             ]
-        elif cfg.family == "mlp_mixer":
-            self.cross = [
-                MixerBlock(pset, f"{prefix}.cross{i}", cfg.dim, n_tokens, cfg.hidden_ratio)
-                for i in range(cfg.depth_cross)
-            ]
         else:
-            self.cross = [
-                MlpBlock(pset, f"{prefix}.cross{i}", cfg.dim, cfg.hidden_ratio)
-                for i in range(cfg.depth_cross)
-            ]
+            self.cross = [block(f"{prefix}.cross{i}") for i in range(cfg.depth_cross)]
 
         self.head_w1 = pset.add(f"{prefix}.head.fc1.w", (cfg.dim, cfg.dim))
         self.head_b1 = pset.add(f"{prefix}.head.fc1.b", (cfg.dim,), init="zeros")
@@ -347,79 +335,44 @@ def init_model(config: ModelConfig, dtype=np.float32, head_init: str = "zeros") 
 # shipped presets
 
 
-def _swin_scales() -> list[ScaleConfig]:
-    return [
-        ScaleConfig(patch=4, window=8, heads=32, weight=0.5),
-        ScaleConfig(patch=8, window=4, heads=16, weight=0.3),
-        ScaleConfig(patch=16, window=2, heads=8, weight=0.2),
-    ]
+_PLAIN_SCALES = [
+    ScaleConfig(patch=4, weight=0.5),
+    ScaleConfig(patch=8, weight=0.3),
+    ScaleConfig(patch=16, weight=0.2),
+]
+_SWIN_SCALES = [
+    ScaleConfig(patch=4, window=8, heads=32, weight=0.5),
+    ScaleConfig(patch=8, window=4, heads=16, weight=0.3),
+    ScaleConfig(patch=16, window=2, heads=8, weight=0.2),
+]
 
 
-def _plain_scales() -> list[ScaleConfig]:
-    return [
-        ScaleConfig(patch=4, weight=0.5),
-        ScaleConfig(patch=8, weight=0.3),
-        ScaleConfig(patch=16, weight=0.2),
-    ]
+def _desk(family: str, scale: ScaleConfig) -> ModelConfig:
+    return ModelConfig(family=family, scales=[scale], dim=16, depth_extract=1, depth_cross=1, image_size=64)
+
+
+# ``*_s`` are single-scale (patch 4), ``*_m`` multi-scale with patches
+# 4/8/16 and fusion weights 0.5/0.3/0.2; swin variants use windows 8/4/2
+# with 32/16/8 heads. ``*_desk`` are small CPU test presets.
+_PRESETS = {
+    "pure_mlp_s": ModelConfig(family="pure_mlp", scales=[ScaleConfig(patch=4)]),
+    "mlp_mixer_s": ModelConfig(family="mlp_mixer", scales=[ScaleConfig(patch=4)]),
+    "swin_trans_s": ModelConfig(family="swin_trans", scales=[ScaleConfig(patch=4, window=8, heads=32)]),
+    "pure_mlp_m": ModelConfig(family="pure_mlp", scales=_PLAIN_SCALES),
+    "mlp_mixer_m": ModelConfig(family="mlp_mixer", scales=_PLAIN_SCALES),
+    "swin_trans_m": ModelConfig(family="swin_trans", scales=_SWIN_SCALES),
+    "pure_mlp_desk": _desk("pure_mlp", ScaleConfig(patch=4)),
+    "mlp_mixer_desk": _desk("mlp_mixer", ScaleConfig(patch=4)),
+    "swin_trans_desk": _desk("swin_trans", ScaleConfig(patch=4, window=4, heads=4)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ModelConfig:
-    """Named model configurations.
-
-    ``*_s`` are single-scale (patch 4), ``*_m`` multi-scale with patches
-    4/8/16 and fusion weights 0.5/0.3/0.2; swin variants use windows
-    8/4/2 with 32/16/8 heads. ``*_desk`` are small CPU test presets.
-    """
-    presets = {
-        "pure_mlp_s": ModelConfig(family="pure_mlp", scales=[ScaleConfig(patch=4, weight=1.0)]),
-        "mlp_mixer_s": ModelConfig(family="mlp_mixer", scales=[ScaleConfig(patch=4, weight=1.0)]),
-        "swin_trans_s": ModelConfig(
-            family="swin_trans", scales=[ScaleConfig(patch=4, window=8, heads=32, weight=1.0)]
-        ),
-        "pure_mlp_m": ModelConfig(family="pure_mlp", scales=_plain_scales()),
-        "mlp_mixer_m": ModelConfig(family="mlp_mixer", scales=_plain_scales()),
-        "swin_trans_m": ModelConfig(family="swin_trans", scales=_swin_scales()),
-        "pure_mlp_desk": ModelConfig(
-            family="pure_mlp",
-            scales=[ScaleConfig(patch=4, weight=1.0)],
-            dim=16,
-            depth_extract=1,
-            depth_cross=1,
-            image_size=64,
-        ),
-        "mlp_mixer_desk": ModelConfig(
-            family="mlp_mixer",
-            scales=[ScaleConfig(patch=4, weight=1.0)],
-            dim=16,
-            depth_extract=1,
-            depth_cross=1,
-            image_size=64,
-        ),
-        "swin_trans_desk": ModelConfig(
-            family="swin_trans",
-            scales=[ScaleConfig(patch=4, window=4, heads=4, weight=1.0)],
-            dim=16,
-            depth_extract=1,
-            depth_cross=1,
-            image_size=64,
-        ),
-    }
-    if not isinstance(name, str) or name not in presets:
-        raise ConfigError(f"unknown preset {name!r} (available: {sorted(presets)})")
-    return presets[name]
-
-
-PRESET_NAMES = (
-    "pure_mlp_s",
-    "mlp_mixer_s",
-    "swin_trans_s",
-    "pure_mlp_m",
-    "mlp_mixer_m",
-    "swin_trans_m",
-    "pure_mlp_desk",
-    "mlp_mixer_desk",
-    "swin_trans_desk",
-)
+    """A fresh copy of the named shipped model configuration (see ``PRESET_NAMES``)."""
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (available: {sorted(_PRESETS)})")
+    return copy.deepcopy(_PRESETS[name])
 
 
 # ---------------------------------------------------------------------------

@@ -107,71 +107,76 @@ def _cell(coord: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return lo, (clamped - lo).astype(dtype)
 
 
-def sample(img: Tensor, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
+def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
     """Differentiable clamp-to-edge bilinear read of ``img`` [c, h, w].
 
     ``grid`` is [2, H, W] of absolute coordinates (channel 0 x, channel 1
     y); ``disp``, when given, is a [2, H, W] tensor of pixel offsets added
-    to it. Output is [c, H, W]. Gradients flow to the image and, when
-    given, to ``disp``, whose gradient is zero where a coordinate is clamped.
+    to it. Output is [c, H, W]. Gradients flow to ``img`` when it is a
+    Tensor (any other array is a constant) and, when given, to ``disp``,
+    whose gradient is zero where a coordinate is clamped.
     """
-    img = as_tensor(img)
-    c, h, w = img.shape
+    img_grad = isinstance(img, Tensor)
+    parents = ((img,) if img_grad else ()) + ((disp,) if disp is not None else ())
+    im = as_tensor(img).data
+    c, h, w = im.shape
     x, y = grid
     if disp is not None:
         x, y = x + disp.data[0], y + disp.data[1]
         inside_x = (x > 0.0) & (x < w - 1.0)
         inside_y = (y > 0.0) & (y < h - 1.0)
-    x0, fx = _cell(x, w, img.dtype)
-    y0, fy = _cell(y, h, img.dtype)
+    x0, fx = _cell(x, w, im.dtype)
+    y0, fy = _cell(y, h, im.dtype)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     data = (
-        (1 - fy) * (1 - fx) * img.data[:, y0, x0]
-        + (1 - fy) * fx * img.data[:, y0, x1]
-        + fy * (1 - fx) * img.data[:, y1, x0]
-        + fy * fx * img.data[:, y1, x1]
+        (1 - fy) * (1 - fx) * im[:, y0, x0]
+        + (1 - fy) * fx * im[:, y0, x1]
+        + fy * (1 - fx) * im[:, y1, x0]
+        + fy * fx * im[:, y1, x1]
     )
 
     def backward_fn(g):
-        corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])[:, None]
-        weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])[:, None]
-        flat = corners + (h * w) * np.arange(c).reshape(c, 1, 1)
-        gi = np.bincount(flat.ravel(), (weights * g).ravel(), minlength=c * h * w)
-        gi = gi.reshape(c, h, w).astype(img.dtype)
-        if disp is None:
-            return (gi,)
-        i00, i10 = img.data[:, y0, x0], img.data[:, y0, x1]
-        i01, i11 = img.data[:, y1, x0], img.data[:, y1, x1]
-        ddx = ((1 - fy) * (i10 - i00) + fy * (i11 - i01)) * g
-        ddy = ((1 - fx) * (i01 - i00) + fx * (i11 - i10)) * g
-        gd = np.stack([ddx.sum(axis=0) * inside_x, ddy.sum(axis=0) * inside_y])
-        return gi, gd.astype(disp.dtype)
+        grads = []
+        if img_grad:
+            corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])[:, None]
+            weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])[:, None]
+            flat = corners + (h * w) * np.arange(c).reshape(c, 1, 1)
+            gi = np.bincount(flat.ravel(), (weights * g).ravel(), minlength=c * h * w)
+            grads.append(gi.reshape(c, h, w).astype(im.dtype))
+        if disp is not None:
+            i00, i10 = im[:, y0, x0], im[:, y0, x1]
+            i01, i11 = im[:, y1, x0], im[:, y1, x1]
+            ddx = ((1 - fy) * (i10 - i00) + fy * (i11 - i01)) * g
+            ddy = ((1 - fx) * (i01 - i00) + fx * (i11 - i10)) * g
+            gd = np.stack([ddx.sum(axis=0) * inside_x, ddy.sum(axis=0) * inside_y])
+            grads.append(gd.astype(disp.dtype))
+        return grads
 
-    return _node(data, (img,) if disp is None else (img, disp), backward_fn)
+    return _node(data, parents, backward_fn if parents else None)
 
 
 def warp_image(img, disp: VectorField) -> Tensor:
     """Deform an image (or [c,h,w] stack) by a displacement field.
 
     ``out(i, j) = img(i + dy(i,j), j + dx(i,j))`` with bilinear
-    interpolation and clamp-to-edge; differentiable in both inputs.
+    interpolation and clamp-to-edge; differentiable in the displacement
+    and, when it is a Tensor, in the image (any other array is a constant).
     """
     if disp.kind != DISPLACEMENT:
         raise FieldKindError(f"warp_image needs a displacement field, got {disp.kind}")
-    t = as_tensor(img)
-    squeeze = t.ndim == 2
+    if not isinstance(img, Tensor):
+        img = Tensor(img).data  # a constant: no graph node, no image gradient
+    squeeze = img.ndim == 2
     if squeeze:
-        t3 = reshape(t, (1,) + t.shape)
-    elif t.ndim == 3:
-        t3 = t
-    else:
-        raise DimensionError(f"warp_image expects [h,w] or [c,h,w], got {t.shape}")
-    if t3.shape[1:] != (disp.height, disp.width):
+        img = reshape(img, (1,) + img.shape) if isinstance(img, Tensor) else img[None]
+    elif img.ndim != 3:
+        raise DimensionError(f"warp_image expects [h,w] or [c,h,w], got {img.shape}")
+    if img.shape[1:] != (disp.height, disp.width):
         raise DimensionError(
-            f"image {t3.shape[1:]} and displacement {(disp.height, disp.width)} sizes differ"
+            f"image {img.shape[1:]} and displacement {(disp.height, disp.width)} sizes differ"
         )
-    out = sample(t3, identity_grid(disp.height, disp.width, t3.dtype), disp.data)
+    out = sample(img, identity_grid(disp.height, disp.width, img.dtype), disp.data)
     if squeeze:
         out = reshape(out, out.shape[1:])
     return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,8 @@ from .gradcore import (
     slice_tensor,
     sub,
 )
-from .models import ConfigError, RegistrationModel, RegistrationResult, config_section, save_checkpoint
+from .models import ConfigError, RegistrationModel, RegistrationResult, save_checkpoint
+from .models import config_from_dict, config_to_dict
 from .svf import VectorField, aligned_grid, identity_grid, sample, warp_image
 
 AUGMENT_PROB = 0.5  # per-transform apply probability, fixed
@@ -68,19 +69,11 @@ class AugmentationSpec:
         )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return d
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentationSpec":
-        d = config_section(cls, d, "train config 'augment'")
-        for k in ("contrast_range", "sharpen_amount", "blur_sigma"):
-            if k in d:
-                d[k] = tuple(d[k])
-        return cls(**d)
+        return config_from_dict(cls, d, "train.augment")
 
 
 @dataclass
@@ -112,16 +105,11 @@ class TrainConfig:
         return np.float32 if self.precision == "f32" else np.float64
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["augment"] = self.augment.to_dict()
-        return d
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = config_section(cls, d, "train config")
-        if "augment" in d:
-            d["augment"] = AugmentationSpec.from_dict(d["augment"])
-        return cls(**d)
+        return config_from_dict(cls, d, "train")
 
 
 class TrainingDiverged(RuntimeError):

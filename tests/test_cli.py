@@ -113,6 +113,15 @@ def test_train_seed_repeat_identical_logs(tmp_path, synth_dir):
     assert logs[0] == logs[1]
 
 
+def test_resolved_config_reads_back_unchanged(tmp_path, synth_dir):
+    cfg = write_train_config(tmp_path, synth_dir, epochs=1)
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    assert main(["train", "--config", str(cfg), "--out", str(first)]) == 0
+    resolved = first / "resolved_config.json"
+    assert main(["train", "--config", str(resolved), "--out", str(second)]) == 0
+    assert (second / "resolved_config.json").read_text() == resolved.read_text()
+
+
 def test_train_missing_manifest_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     missing = tmp_path / "nowhere" / "manifest.csv"
@@ -144,6 +153,7 @@ def train_with_config(directory, config) -> tuple[int, str]:
 # the synth_dir manifest, relative to the config file: with it only the
 # config check stands between a bad rate and a training run
 _SYNTH_DATA = {"manifest": "data/manifest.csv", "val_split": "train"}
+_ONE_EPOCH = {"max_epochs": 1, "patience": 0}
 
 
 @pytest.mark.parametrize(
@@ -157,9 +167,11 @@ _SYNTH_DATA = {"manifest": "data/manifest.csv", "val_split": "train"}
         {"model": {"scales": [{"patch": "4"}]}},
         {"model": {"preset": "pure_mlp_desk"}, "train": {"lr": math.nan}, "data": _SYNTH_DATA},
         {"model": {"preset": "pure_mlp_desk"}, "train": {"lam": math.inf}, "data": _SYNTH_DATA},
+        {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": {**_SYNTH_DATA, "bogus": 1}},
+        {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": _SYNTH_DATA, "bogus": 1},
     ],
     ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
-         "lr-nan", "lam-inf"],
+         "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key"],
 )
 def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)
@@ -398,6 +410,18 @@ def test_evaluate_missing_mask_skipped_exit_0(tmp_path):
     assert rc == 0
     assert len(read_log(out / "jacobian.csv")) == 2
     assert "e001" in (out / "skipped.log").read_text()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_evaluate_malformed_thread_count_exit_2(tmp_path, monkeypatch, threads):
+    manifest = make_eval_manifest(tmp_path, n=1)
+    ckpt = desk_checkpoint(tmp_path)
+    monkeypatch.setenv("PATCHREG_THREADS", threads)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                   "--split", "test", "--out", str(tmp_path / "r")])
+    assert_one_line_error(rc, err.getvalue(), 2)
 
 
 def test_evaluate_empty_split_exit_2(tmp_path):

@@ -286,8 +286,10 @@ def test_worker_count_respects_env(monkeypatch):
 
     monkeypatch.setenv("PATCHREG_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("PATCHREG_THREADS", "not-a-number")
-    assert worker_count() >= 1
+    for bad in ("not-a-number", "0", "-2"):
+        monkeypatch.setenv("PATCHREG_THREADS", bad)
+        with pytest.raises(ValueError, match="PATCHREG_THREADS"):
+            worker_count()
     monkeypatch.delenv("PATCHREG_THREADS")
     assert worker_count() >= 1
 

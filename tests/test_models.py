@@ -351,6 +351,11 @@ def test_checkpoint_rejects_non_checkpoint(tmp_path):
 
 
 def test_config_round_trips_through_dict():
-    cfg = preset("swin_trans_m")
-    again = ModelConfig.from_dict(cfg.to_dict())
-    assert again == cfg
+    for name in models.PRESET_NAMES:
+        cfg = preset(name)
+        assert ModelConfig.from_dict(cfg.to_dict()) == cfg, name
+    augment = training.AugmentationSpec(
+        contrast_range=(0.5, 2.0), sharpen_amount=(0.1, 0.2), blur_sigma=(1.0, 3.0)
+    )
+    train_cfg = training.TrainConfig(lr=3e-4, precision="f64", augment=augment)
+    assert training.TrainConfig.from_dict(train_cfg.to_dict()) == train_cfg

@@ -186,6 +186,22 @@ def test_warp_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
+def test_warp_constant_image_gives_the_same_displacement_gradient():
+    # a numpy image is a constant with no image gradient; the
+    # displacement gradient must be the one a Tensor image gives
+    rng = np.random.default_rng(4)
+    disp = random_smooth_velocity(5, 16, 16, 2.0).array
+    for shape in ((16, 16), (3, 16, 16)):
+        img = rng.uniform(size=shape)
+        r = Tensor(rng.normal(size=shape))
+        grads = []
+        for image in (img, Tensor(img)):
+            disp_t = Tensor(disp.copy())
+            backward(sum_all(mul(warp_image(image, VectorField(disp_t, DISPLACEMENT)), r)))
+            grads.append(disp_t.grad)
+        assert np.array_equal(grads[0], grads[1])
+
+
 def test_warp_size_mismatch():
     with pytest.raises(DimensionError):
         warp_image(np.zeros((8, 8)), const_field(9, 8, 0, 0))
