@@ -22,16 +22,13 @@ from .gradcore import (
     Tensor,
     add,
     as_tensor,
-    cadd,
-    cmul,
     gather_rows,
     gelu,
     layer_norm,
     linear,
-    matmul,
     reshape,
-    softmax,
     transpose,
+    window_attention,
 )
 
 
@@ -221,7 +218,9 @@ class SwinCrossBlock:
     fixed-image features. Attention runs twice, once on normal window
     partitions of both maps and once with the query map partitioned after
     a half-window cyclic roll (masked across rolled-in boundaries) while
-    keys keep the normal partition. The two outputs are summed, projected,
+    keys keep the normal partition. Each pass is one fused
+    :func:`~patchreg.gradcore.window_attention` call with the shared
+    relative-position bias. The two outputs are summed, projected,
     skip-connected to the fixed features, and passed through a residual
     per-token MLP. The block is built for one grid and rejects others.
     """
@@ -286,14 +285,12 @@ class SwinCrossBlock:
         b = reshape(b, (wsq, wsq, self.heads))
         return transpose(b, (2, 0, 1))
 
-    def _attend(self, q: Tensor, k_t: Tensor, v: Tensor, bias: Tensor, layout: WindowPartition):
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, bias: Tensor, layout: WindowPartition):
         """One pass: queries split by ``layout`` against the normal-layout
-        keys (head-split, transposed) and values."""
-        logits = cmul(matmul(self._heads_split(q, layout), k_t), self.scale)
-        logits = add(logits, bias)
-        if layout.mask is not None:
-            logits = cadd(logits, layout.mask[:, None, :, :])
-        return self._heads_merge(matmul(softmax(logits), v), layout)
+        keys and values (head-split)."""
+        mask = None if layout.mask is None else layout.mask[:, None]
+        out = window_attention(self._heads_split(q, layout), k, v, bias, mask, self.scale)
+        return self._heads_merge(out, layout)
 
     def __call__(self, fix: TokenMap, mov: TokenMap) -> TokenMap:
         built = (self.grid_h, self.grid_w, self.dim)
@@ -304,13 +301,13 @@ class SwinCrossBlock:
             )
         nk = layer_norm(fix.data, self.norm_fix_g, self.norm_fix_b)
         nq = layer_norm(mov.data, self.norm_mov_g, self.norm_mov_b)
-        k_t = transpose(self._heads_split(linear(nk, self.wk, self.bk), self.normal), (0, 1, 3, 2))
+        k = self._heads_split(linear(nk, self.wk, self.bk), self.normal)
         v = self._heads_split(linear(nk, self.wv, self.bv), self.normal)
         q = linear(nq, self.wq, self.bq)
         bias = self._bias()
         summed = add(
-            self._attend(q, k_t, v, bias, self.normal),
-            self._attend(q, k_t, v, bias, self.shifted),
+            self._attend(q, k, v, bias, self.normal),
+            self._attend(q, k, v, bias, self.shifted),
         )
         y = add(fix.data, linear(summed, self.wo, self.bo))
         return fix.with_data(add(y, self.mlp(y)))

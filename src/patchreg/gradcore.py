@@ -11,6 +11,15 @@ Gradients accumulate at the leaves across backward calls until
 explicitly zeroed, so training loops must zero parameter grads between
 steps.
 
+Besides the elementary kernels there is one fused kernel,
+:func:`window_attention`, the windowed attention of the swin family:
+``softmax(scale * q @ kᵀ + bias + mask) @ v`` on ``[n_windows, heads,
+t, head_dim]`` windows. The scale is folded into ``q`` before the
+product, so the ``[n_windows, heads, t, t]`` logits live in one buffer
+that bias, mask and softmax update in place; the node keeps the scaled
+``q``, ``k``, ``v`` and the probabilities. The mask may hold ``-inf``
+as long as every row of every window keeps at least one finite logit.
+
 float64 is the precision for finite-difference verification, float32 the
 training default. Every kernel here is checked against central finite
 differences in the test suite; :func:`grad_check` is the harness.
@@ -387,6 +396,60 @@ def softmax(x: Tensor) -> Tensor:
     return _node(s, (x,), backward_fn)
 
 
+def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale: float) -> Tensor:
+    """Attention inside windows: ``softmax(scale * q @ kᵀ + bias + mask) @ v``.
+
+    ``q``, ``k`` and ``v`` are ``[n_windows, heads, t, head_dim]``; ``k``
+    is passed untransposed. ``bias`` is ``[heads, t, t]``, learnable and
+    shared by every window. ``mask`` is None or a constant
+    ``[n_windows, 1, t, t]`` added after the bias; its entries may be
+    ``-inf``, but every row of every window must keep at least one
+    finite logit, or that row's softmax is NaN.
+
+    ``scale`` multiplies ``q``, not the logits, so the logits are computed
+    once into one buffer; bias, mask, the max-subtracted softmax and its
+    normalisation all update that buffer in place. The node keeps the
+    scaled ``q``, ``k``, ``v`` and the probabilities. The backward
+    returns the gradients of ``q``, ``k``, ``v`` and ``bias``; the bias
+    gradient is the logits gradient summed over the window axis.
+    """
+    q, k, v, bias = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(bias)
+    if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(
+            f"window_attention: q, k, v must share one [n_windows, heads, t, head_dim] shape, "
+            f"got {q.shape}, {k.shape}, {v.shape}"
+        )
+    n, heads, t, _ = q.shape
+    if bias.shape != (heads, t, t):
+        raise DimensionError(f"window_attention: bias {bias.shape} is not {(heads, t, t)}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=q.dtype)
+        if mask.shape != (n, 1, t, t):
+            raise DimensionError(f"window_attention: mask {mask.shape} is not {(n, 1, t, t)}")
+    scale = q.dtype.type(scale)
+    qs = q.data * scale
+    kd, vd = k.data, v.data
+    p = qs @ kd.swapaxes(-1, -2)
+    p += bias.data
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        gv = p.swapaxes(-1, -2) @ g
+        gs = g @ vd.swapaxes(-1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gq = gs @ kd
+        gq *= scale
+        gk = gs.swapaxes(-1, -2) @ qs
+        return gq, gk, gv, gs.sum(axis=0)
+
+    return _node(p @ vd, (q, k, v, bias), backward_fn)
+
+
 # ---------------------------------------------------------------------------
 # graph traversal
 
@@ -462,28 +525,40 @@ class ParamSet:
 
     Parameters are created in a fixed order, so re-initializing with the
     same seed reproduces every value bit for bit at a fixed precision.
+    Given ``values`` (name -> array, such as a checkpoint's), :meth:`add`
+    pops each parameter's value from that dict and draws nothing; what
+    is left in it afterwards belongs to no parameter.
     """
 
-    def __init__(self, seed: int, dtype=np.float32):
+    def __init__(self, seed: int, dtype=np.float32, values: dict[str, np.ndarray] | None = None):
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         if self.dtype.type not in _FLOAT_TYPES:
             raise ContractError(f"unsupported parameter dtype {self.dtype}")
         self._params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(self.seed)
+        self._values = values
 
     def add(self, name: str, shape, init: str = "trunc_normal", std: float = 0.02) -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name: {name}")
         shape = tuple(int(s) for s in shape)
-        if init == "trunc_normal":
+        if init not in ("trunc_normal", "zeros", "ones"):
+            raise ContractError(f"unknown init '{init}'")
+        if self._values is not None:
+            if name not in self._values:
+                raise ContractError(f"parameter {name} has no stored value")
+            arr = self._values.pop(name)
+            if arr.shape != shape:
+                raise DimensionError(
+                    f"parameter {name}: stored shape {arr.shape} != model shape {shape}"
+                )
+        elif init == "trunc_normal":
             arr = _trunc_normal(self._rng, shape, std)
         elif init == "zeros":
             arr = np.zeros(shape)
-        elif init == "ones":
-            arr = np.ones(shape)
         else:
-            raise ContractError(f"unknown init '{init}'")
+            arr = np.ones(shape)
         t = Tensor(arr.astype(self.dtype))
         t.grad = np.zeros_like(t.data)  # Adam reads it before any backward
         self._params[name] = t

@@ -270,12 +270,16 @@ def fuse_multiscale(fields: list[VectorField], weights: list[float]) -> VectorFi
 
 
 class RegistrationModel:
-    """A configured family with its parameters; maps image pairs to fields."""
+    """A configured family with its parameters; maps image pairs to fields.
 
-    def __init__(self, config: ModelConfig, dtype=np.float32, head_init: str = "zeros"):
+    ``values`` (parameter name -> array) replaces the seeded init, as
+    when a checkpoint is loaded.
+    """
+
+    def __init__(self, config: ModelConfig, dtype=np.float32, head_init: str = "zeros", values=None):
         config.validate()
         self.config = config
-        self.params = ParamSet(config.seed, dtype=dtype)
+        self.params = ParamSet(config.seed, dtype=dtype, values=values)
         self.children = [
             ChildModel(self.params, f"child{i}", config, scale, head_init)
             for i, scale in enumerate(config.scales)
@@ -425,7 +429,7 @@ def load_checkpoint(path, dtype=np.float32) -> RegistrationModel:
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise CheckpointError(f"{path}: payload hash mismatch, file corrupt")
     try:
-        model = RegistrationModel(ModelConfig.from_dict(header["config"]), dtype=dtype)
+        config = ModelConfig.from_dict(header["config"])
         offset = 0
         arrays: dict[str, np.ndarray] = {}
         for name, shape in header["params"]:
@@ -435,9 +439,11 @@ def load_checkpoint(path, dtype=np.float32) -> RegistrationModel:
             offset += n * 4
         if offset != len(payload):
             raise ValueError("payload size does not match parameter table")
-        if set(arrays) != set(model.params.names()):
+        # the stored arrays stand in for the seeded init, which is never
+        # drawn; building the model pops every array it uses
+        model = RegistrationModel(config, dtype=dtype, values=arrays)
+        if arrays:
             raise ValueError("parameter names do not match the stored config")
-        model.params.load_arrays(arrays)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e})") from e
     return model

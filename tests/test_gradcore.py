@@ -194,6 +194,70 @@ def test_softmax_with_minus_inf_mask():
 
 
 # ---------------------------------------------------------------------------
+# window_attention
+
+
+def attention_inputs(seed, n=3, heads=2, t=5, d=3):
+    """q, k, v [n, heads, t, d], a bias [heads, t, t] shared by the n
+    windows, and a constant mask [n, 1, t, t] whose every row holds at
+    least one -inf entry and at least one finite one."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(n, heads, t, d)) for _ in range(3))
+    bias = rng.normal(size=(heads, t, t))
+    mask = np.where(rng.uniform(size=(n, 1, t, t)) < 0.4, -np.inf, 0.0)
+    keep = rng.integers(t, size=(n, 1, t, 1))
+    drop = (keep + rng.integers(1, t, size=keep.shape)) % t
+    np.put_along_axis(mask, keep, 0.0, axis=-1)
+    np.put_along_axis(mask, drop, -np.inf, axis=-1)
+    return [q, k, v, bias], mask
+
+
+def composite_attention(q, k, v, bias, mask, scale):
+    """The unfused chain: matmul -> cmul -> add -> cadd -> softmax -> matmul."""
+    logits = gc.cmul(matmul(q, gc.transpose(k, (0, 1, 3, 2))), scale)
+    logits = gc.cadd(gc.add(logits, bias), mask)
+    return matmul(softmax(logits), v)
+
+
+def test_window_attention_finite_difference_with_mask():
+    arrays, mask = attention_inputs(7)
+    assert np.isneginf(mask).any(axis=-1).all() and np.isfinite(mask).any(axis=-1).all()
+    scale = 1.0 / np.sqrt(3.0)
+    err = fd_check(
+        lambda ts: scalar_readout(gc.window_attention(*ts, mask, scale)),
+        arrays,
+        n_probes=80,
+    )
+    assert err < 1e-6
+
+
+def test_window_attention_matches_composite_chain():
+    arrays, mask = attention_inputs(8)
+    scale = 1.0 / np.sqrt(3.0)
+    results = []
+    for op in (
+        lambda q, k, v, b: gc.window_attention(q, k, v, b, mask, scale),
+        lambda q, k, v, b: composite_attention(q, k, v, b, mask, scale),
+    ):
+        ts = [Tensor(a.copy()) for a in arrays]
+        out = op(*ts)
+        backward(scalar_readout(out, seed=9))
+        results.append([out.data] + [t.grad for t in ts])
+    for name, fused, oracle in zip(("out", "q", "k", "v", "bias"), *results):
+        np.testing.assert_allclose(fused, oracle, rtol=1e-12, err_msg=name)
+
+
+def test_window_attention_shape_errors():
+    (q, k, v, bias), mask = attention_inputs(10)
+    with pytest.raises(DimensionError, match="bias"):
+        gc.window_attention(Tensor(q), Tensor(k), Tensor(v), Tensor(bias[:1]), None, 1.0)
+    with pytest.raises(DimensionError, match="mask"):
+        gc.window_attention(Tensor(q), Tensor(k), Tensor(v), Tensor(bias), mask[:1], 1.0)
+    with pytest.raises(DimensionError, match="share"):
+        gc.window_attention(Tensor(q), Tensor(k[:1]), Tensor(v), Tensor(bias), None, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # gather_rows
 
 

@@ -3,12 +3,13 @@ loop-level oracle, determinism, shared extractor weights, checkpoints."""
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from patchreg import dataio, models, training
+from patchreg import dataio, gradcore, models, training
 from patchreg.models import (
     CheckpointError,
     ConfigError,
@@ -330,6 +331,60 @@ def test_checkpoint_round_trip(tmp_path, pair32):
     v1 = model.fused_velocity(pair32.fix.astype(np.float32), pair32.mov.astype(np.float32))
     v2 = loaded.fused_velocity(pair32.fix.astype(np.float32), pair32.mov.astype(np.float32))
     assert np.array_equal(v1.array, v2.array)
+
+
+@pytest.mark.parametrize("name", ["swin_trans_desk", "mlp_mixer_desk"])
+def test_checkpoint_load_takes_saved_values_and_draws_no_init(tmp_path, monkeypatch, name):
+    model = init_model(preset(name), head_init="random")
+    path = tmp_path / "m.prck"
+    save_checkpoint(model, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a seeded init")
+
+    monkeypatch.setattr(gradcore, "_trunc_normal", no_draw)
+    loaded = load_checkpoint(path)
+    assert loaded.params.names() == model.params.names()
+    for n, t in model.params.items():
+        got = loaded.params[n]
+        assert got.data.dtype == t.data.dtype and got.data.tobytes() == t.data.tobytes(), n
+        assert got.data.flags.writeable and not np.any(got.grad), n
+
+
+def rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint's parameter table and payload with ``edit``,
+    a function of the [name, shape, float32 array] list, and rehash."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[4:8])[0]
+    header = json.loads(raw[8 : 8 + hlen])
+    payload, offset, table = raw[8 + hlen :], 0, []
+    for name, shape in header["params"]:
+        n = int(np.prod(shape))
+        table.append([name, shape, np.frombuffer(payload, "<f4", n, offset).reshape(shape)])
+        offset += 4 * n
+    table = edit(table)
+    payload = b"".join(a.tobytes() for _, _, a in table)
+    header["params"] = [[name, shape] for name, shape, _ in table]
+    header["sha256"] = hashlib.sha256(payload).hexdigest()
+    blob = json.dumps(header).encode()
+    path.write_bytes(b"PRCK" + struct.pack("<I", len(blob)) + blob + payload)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t + [["extra", [2], np.zeros(2, "<f4")]], "names do not match"),
+        (lambda t: t[1:], "no stored value"),
+        (lambda t: [[t[0][0], [t[0][2].size], t[0][2].ravel()]] + t[1:], "stored shape"),
+    ],
+    ids=["extra", "missing", "reshaped"],
+)
+def test_checkpoint_table_must_match_the_config(tmp_path, edit, message):
+    path = tmp_path / "m.prck"
+    save_checkpoint(init_model(preset("pure_mlp_desk")), path)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_detects_corruption(tmp_path):

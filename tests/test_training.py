@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,23 @@ def test_training_memory_does_not_grow_with_batch():
         return int(proc.stdout.split()[-1])
 
     assert peak_rss(4) <= 1.2 * peak_rss(2)
+
+
+def test_swin_pair_step_graph_peak_is_bounded():
+    # tracemalloc peak of one swin_trans_s 128x128 pair loss plus backward:
+    # 461 MB with the attention logits kept once per op of the unfused
+    # chain (matmul, scale, bias, mask, softmax), 242 MB with one buffer
+    # per window_attention pass; the bound sits between the two
+    model = init_model(models.preset("swin_trans_s"))
+    p = dataio.synth_pair(0, size=128, max_disp=3.0)
+    cfg = TrainConfig(augment=AugmentationSpec.none())
+    tracemalloc.start()
+    try:
+        backward(training._pair_loss(model, p.fix, p.mov, cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 350 * 2**20, f"{peak / 2**20:.0f} MB"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
