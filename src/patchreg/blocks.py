@@ -72,19 +72,15 @@ class PatchEmbed:
         self.w = pset.add(f"{prefix}.w", (patch * patch, dim))
         self.b = pset.add(f"{prefix}.b", (dim,), init="zeros")
 
-    def __call__(self, img) -> TokenMap:
-        t = as_tensor(img)
-        if t.ndim != 2:
-            raise DimensionError(f"patch embedding expects a 2-d image, got {t.shape}")
-        h, w = t.shape
+    def __call__(self, img: np.ndarray) -> TokenMap:
+        img = np.asarray(img)
+        if img.ndim != 2:
+            raise DimensionError(f"patch embedding expects a 2-d image, got {img.shape}")
+        h, w = img.shape
         p = self.patch
         if h % p or w % p:
             raise DimensionError(f"patch {p} does not divide image {h}x{w}")
-        gh, gw = h // p, w // p
-        tiles = reshape(t, (gh, p, gw, p))
-        tiles = transpose(tiles, (0, 2, 1, 3))
-        tiles = reshape(tiles, (gh * gw, p * p))
-        return TokenMap(gh, gw, linear(tiles, self.w, self.b))
+        return TokenMap(h // p, w // p, linear(_tile(img, p), self.w, self.b))
 
 
 def extract_patches(img: np.ndarray, patch: int) -> np.ndarray:

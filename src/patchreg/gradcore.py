@@ -3,13 +3,18 @@
 Provides exactly the differentiable kernels the registration networks
 need. A :class:`Tensor` wraps a float32 or float64 array; operations
 record closures on a DAG and :func:`backward` replays them in reverse
-topological order, visiting each node once. Only leaves (parameters,
+topological order, visiting each node once. One rule for data: an op
+operand that is not a :class:`Tensor` (a numpy array or a scalar) is a
+constant. :func:`as_tensor` marks it, the op's node keeps no edge to
+it, and a node whose operands are all constants is a constant too and
+keeps no closure; :func:`backward` never reaches one. Images, loss
+targets and sampling grids are such constants. Only leaves (parameters,
 inputs) keep a ``grad`` array: it is created by the first gradient that
-reaches the leaf (parameters get a zeroed one at creation), and
-intermediate gradients are dropped as soon as they have been passed on.
-Gradients accumulate at the leaves across backward calls until
-explicitly zeroed, so training loops must zero parameter grads between
-steps.
+reaches the leaf (an optimizer gives parameters a zeroed one before
+that), and intermediate gradients are dropped as soon as they have
+been passed on. Gradients accumulate at the leaves across backward
+calls until explicitly zeroed, so training loops must zero parameter
+grads between steps.
 
 Besides the elementary kernels there is one fused kernel,
 :func:`window_attention`, the windowed attention of the swin family:
@@ -56,14 +61,15 @@ def set_grad_fault(enabled: bool) -> None:
 class Tensor:
     """Array value plus gradient slot, optionally produced by a graph node.
 
-    Leaf tensors (parameters, inputs) have no parents; their ``grad`` is
-    None until a gradient reaches them, then an array of the same shape
-    and dtype as ``data``. Non-leaf tensors carry the closure that
-    routes an incoming gradient to their parents, and their ``grad``
-    stays None.
+    ``Tensor(x)`` is a differentiated leaf (a parameter, an input under
+    test): its ``grad`` is None until a gradient reaches it, then an
+    array of the same shape and dtype as ``data``. A non-leaf carries
+    the closure that routes its gradient to its parents and keeps no
+    ``grad``. ``requires_grad`` is False for a constant (see the module
+    docstring), which has no parents and no closure.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -71,7 +77,8 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
-        self._parents: tuple[Tensor, ...] = ()
+        self.requires_grad = True
+        self._parents: tuple[Tensor | None, ...] = ()
         self._backward = None
 
     @property
@@ -107,16 +114,25 @@ class Tensor:
 
 
 def _node(data, parents, backward_fn) -> Tensor:
+    """An op's output. A constant parent's edge is None, so ``backward_fn``'s
+    value in its slot is dropped; with no edge left the output is a constant."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._parents = parents
-    out._backward = backward_fn
+    edges = tuple(p if p.requires_grad else None for p in parents)
+    out.requires_grad = edges.count(None) < len(edges)
+    out._parents = edges if out.requires_grad else ()
+    out._backward = backward_fn if out.requires_grad else None
     return out
 
 
 def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+    """``x`` if it is a Tensor, else ``x`` wrapped as a constant."""
+    if isinstance(x, Tensor):
+        return x
+    t = Tensor(x, dtype=dtype)
+    t.requires_grad = False
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -162,8 +178,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _node(data, (a, b), backward_fn)
@@ -177,25 +193,13 @@ def neg(a: Tensor) -> Tensor:
 
 
 def cadd(a: Tensor, k) -> Tensor:
-    """Add a non-learnable constant (scalar or array)."""
-    k = np.asarray(k, dtype=a.dtype)
-    data = a.data + k
-
-    def backward_fn(g):
-        return (_unbroadcast(g, a.data.shape),)
-
-    return _node(data, (a,), backward_fn)
+    """Add a constant (scalar or array) cast to ``a``'s dtype."""
+    return add(a, np.asarray(k, dtype=a.dtype))
 
 
 def cmul(a: Tensor, k) -> Tensor:
-    """Multiply by a non-learnable constant (scalar or array)."""
-    k = np.asarray(k, dtype=a.dtype)
-    data = a.data * k
-
-    def backward_fn(g):
-        return (_unbroadcast(g * k, a.data.shape),)
-
-    return _node(data, (a,), backward_fn)
+    """Multiply by a constant (scalar or array) cast to ``a``'s dtype."""
+    return mul(a, np.asarray(k, dtype=a.dtype))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -316,7 +320,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = x.data @ w.data + b.data
 
     def backward_fn(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        return g @ w.data.T if x.requires_grad else None, x.data.T @ g, g.sum(axis=0)
 
     return _node(data, (x, w, b), backward_fn)
 
@@ -433,7 +437,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale:
     p += bias.data
     if mask is not None:
         p += mask
-    p -= p.max(axis=-1, keepdims=True)
+    p -= np.fmax.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
@@ -468,7 +472,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -479,11 +483,14 @@ def backward(root: Tensor) -> None:
     The root must be scalar. Each node is visited exactly once, in
     reverse topological order. A non-leaf node's gradient lives only
     until it has been passed to its parents; only leaves keep ``grad``.
-    Repeated calls without zeroing add their gradients on top of the
-    previous ones.
+    Constants are never reached: no node keeps an edge to one, and a
+    constant root makes this a no-op. Repeated calls without zeroing
+    add their gradients on top of the previous ones.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+    if not root.requires_grad:
+        return
     order = _toposort(root)
     flowing: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
@@ -497,7 +504,7 @@ def backward(root: Tensor) -> None:
                 node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None:
+            if parent is None or pg is None:
                 continue
             key = id(parent)
             if key in flowing:
@@ -560,7 +567,6 @@ class ParamSet:
         else:
             arr = np.ones(shape)
         t = Tensor(arr.astype(self.dtype))
-        t.grad = np.zeros_like(t.data)  # Adam reads it before any backward
         self._params[name] = t
         return t
 
@@ -658,7 +664,7 @@ def grad_check(
     if out.size != 1:
         raise ContractError("grad_check target must be scalar")
     backward(out)
-    analytic = {n: params[n].grad.copy() for n in names}
+    analytic = {n: params[n].grad for n in names}  # None: the output does not depend on it
 
     probes: list[ProbeResult] = []
     for flat in flat_picks:
@@ -673,7 +679,7 @@ def grad_check(
         fm = f(params).item()
         t.data.flat[idx] = orig
         fd = (fp - fm) / (2.0 * step)
-        an = float(analytic[name].flat[idx])
+        an = 0.0 if analytic[name] is None else float(analytic[name].flat[idx])
         rel = abs(fd - an) / max(abs(fd), abs(an), denom_floor)
         probes.append(ProbeResult(name, idx, an, fd, rel))
 

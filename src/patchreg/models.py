@@ -290,19 +290,18 @@ class RegistrationModel:
     def dtype(self):
         return self.params.dtype
 
-    def _check_images(self, fix, mov) -> tuple[Tensor, Tensor]:
+    def _check_images(self, fix, mov) -> tuple[np.ndarray, np.ndarray]:
+        """The images as constants: numpy arrays in the model dtype."""
         s = self.config.image_size
-        out = []
-        for img in (fix, mov):
-            t = img if isinstance(img, Tensor) else Tensor(np.asarray(img), dtype=self.dtype)
-            if t.shape != (s, s):
-                raise DimensionError(f"expected {s}x{s} images, got {t.shape}")
-            out.append(t)
-        return out[0], out[1]
+        fix, mov = np.asarray(fix, dtype=self.dtype), np.asarray(mov, dtype=self.dtype)
+        for a in (fix, mov):
+            if a.shape != (s, s):
+                raise DimensionError(f"expected {s}x{s} images, got {a.shape}")
+        return fix, mov
 
     def child_velocities(self, fix, mov) -> list[VectorField]:
-        fix_t, mov_t = self._check_images(fix, mov)
-        return [c.velocity(fix_t, mov_t) for c in self.children]
+        fix, mov = self._check_images(fix, mov)
+        return [c.velocity(fix, mov) for c in self.children]
 
     def fused_velocity(self, fix, mov) -> VectorField:
         return fuse_multiscale(self.child_velocities(fix, mov), self.weights)

@@ -112,13 +112,12 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
 
     ``grid`` is [2, H, W] of absolute coordinates (channel 0 x, channel 1
     y); ``disp``, when given, is a [2, H, W] tensor of pixel offsets added
-    to it. Output is [c, H, W]. Gradients flow to ``img`` when it is a
-    Tensor (any other array is a constant) and, when given, to ``disp``,
-    whose gradient is zero where a coordinate is clamped.
+    to it. Output is [c, H, W]. Gradients are computed for ``img`` and
+    ``disp`` unless they are constants (an ``img`` that is not a Tensor is
+    one); ``disp``'s gradient is zero where a coordinate is clamped.
     """
-    img_grad = isinstance(img, Tensor)
-    parents = ((img,) if img_grad else ()) + ((disp,) if disp is not None else ())
-    im = as_tensor(img).data
+    img = as_tensor(img)
+    im = img.data
     c, h, w = im.shape
     x, y = grid
     if disp is not None:
@@ -137,23 +136,22 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
     )
 
     def backward_fn(g):
-        grads = []
-        if img_grad:
+        gi = gd = None
+        if img.requires_grad:
             corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])[:, None]
             weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])[:, None]
             flat = corners + (h * w) * np.arange(c).reshape(c, 1, 1)
             gi = np.bincount(flat.ravel(), (weights * g).ravel(), minlength=c * h * w)
-            grads.append(gi.reshape(c, h, w).astype(im.dtype))
-        if disp is not None:
+            gi = gi.reshape(c, h, w).astype(im.dtype)
+        if disp is not None and disp.requires_grad:
             i00, i10 = im[:, y0, x0], im[:, y0, x1]
             i01, i11 = im[:, y1, x0], im[:, y1, x1]
             ddx = ((1 - fy) * (i10 - i00) + fy * (i11 - i01)) * g
             ddy = ((1 - fx) * (i01 - i00) + fx * (i11 - i10)) * g
-            gd = np.stack([ddx.sum(axis=0) * inside_x, ddy.sum(axis=0) * inside_y])
-            grads.append(gd.astype(disp.dtype))
-        return grads
+            gd = np.stack([ddx.sum(axis=0) * inside_x, ddy.sum(axis=0) * inside_y]).astype(disp.dtype)
+        return gi, gd
 
-    return _node(data, parents, backward_fn if parents else None)
+    return _node(data, (img,) if disp is None else (img, disp), backward_fn)
 
 
 def warp_image(img, disp: VectorField) -> Tensor:
@@ -161,15 +159,14 @@ def warp_image(img, disp: VectorField) -> Tensor:
 
     ``out(i, j) = img(i + dy(i,j), j + dx(i,j))`` with bilinear
     interpolation and clamp-to-edge; differentiable in the displacement
-    and, when it is a Tensor, in the image (any other array is a constant).
+    and in the image, unless it is a constant (not a Tensor).
     """
     if disp.kind != DISPLACEMENT:
         raise FieldKindError(f"warp_image needs a displacement field, got {disp.kind}")
-    if not isinstance(img, Tensor):
-        img = Tensor(img).data  # a constant: no graph node, no image gradient
+    img = as_tensor(img)
     squeeze = img.ndim == 2
     if squeeze:
-        img = reshape(img, (1,) + img.shape) if isinstance(img, Tensor) else img[None]
+        img = reshape(img, (1,) + img.shape)
     elif img.ndim != 3:
         raise DimensionError(f"warp_image expects [h,w] or [c,h,w], got {img.shape}")
     if img.shape[1:] != (disp.height, disp.width):

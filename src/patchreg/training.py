@@ -18,7 +18,6 @@ from .gradcore import (
     ParamSet,
     Tensor,
     add,
-    as_tensor,
     backward,
     cmul,
     mean_all,
@@ -124,9 +123,7 @@ class TrainingDiverged(RuntimeError):
 
 
 def mse(a, b) -> Tensor:
-    """Mean squared difference over all pixels."""
-    a = as_tensor(a)
-    b = as_tensor(b)
+    """Mean squared difference over all pixels; a numpy operand is a constant."""
     d = sub(a, b)
     return mean_all(mul(d, d))
 
@@ -189,6 +186,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        for t in params.tensors():
+            if t.grad is None:  # step() may run before any backward reaches it
+                t.grad = np.zeros_like(t.data)
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
 

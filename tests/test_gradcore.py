@@ -336,6 +336,48 @@ def test_leaf_grad_is_created_in_leaf_dtype_and_zeroable():
     assert x.grad.tolist() == [0.0, 0.0, 0.0]
 
 
+# ---------------------------------------------------------------------------
+# constants: an operand that is not a Tensor gets no edge and no gradient
+
+_ONE_CONSTANT_OPS = {
+    "add": (gc.add, [(3, 4), (4,)]),
+    "sub": (gc.sub, [(3, 4), (3, 4)]),
+    "mul": (gc.mul, [(3, 4), (1, 4)]),
+    "linear": (linear, [(3, 4), (4, 5), (5,)]),
+    "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_CONSTANT_OPS))
+def test_numpy_operand_leaves_other_gradients_bit_identical(name):
+    op, shapes = _ONE_CONSTANT_OPS[name]
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=s) for s in shapes]
+    for const in range(len(arrays)):
+        full = [Tensor(a.copy()) for a in arrays]
+        backward(scalar_readout(op(*full)))
+        mixed = [a.copy() if i == const else Tensor(a.copy()) for i, a in enumerate(arrays)]
+        out = op(*mixed)
+        assert out.requires_grad and out._parents[const] is None
+        backward(scalar_readout(out))
+        for i, (f, m) in enumerate(zip(full, mixed)):
+            if i != const:
+                assert np.array_equal(m.grad, f.grad), (name, const, i)
+
+
+def test_op_on_numpy_operands_only_is_a_constant():
+    rng = np.random.default_rng(12)
+    c = linear(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2))
+    assert not c.requires_grad and c._backward is None and c._parents == ()
+    root = gc.sum_all(gelu(c))
+    assert not root.requires_grad and root._backward is None
+    backward(root)
+    assert root.grad is None and c.grad is None
+    p = Tensor(rng.normal(size=(3, 2)))
+    backward(gc.sum_all(gc.mul(p, c)))
+    assert c.grad is None and np.array_equal(p.grad, c.data)
+
+
 def test_deep_chain_does_not_recurse():
     x = Tensor([1.0])
     y = x
@@ -443,6 +485,16 @@ def test_grad_check_quadratic_nearly_exact():
     ps = ParamSet(0, dtype=np.float64)
     ps.add("p", (10,))
     report = grad_check(_quadratic, ps, n_probes=10, step=1e-5, seed=0)
+    assert report.max_rel_err < 1e-8
+
+
+def test_grad_check_reads_an_unreached_parameter_as_zero_gradient():
+    ps = ParamSet(0, dtype=np.float64)
+    ps.add("p", (10,))
+    unused = ps.add("unused", (10,))
+    report = grad_check(_quadratic, ps, n_probes=20, step=1e-5, seed=0)
+    assert unused.grad is None
+    assert any(p.name == "unused" and p.analytic == 0.0 for p in report.probes)
     assert report.max_rel_err < 1e-8
 
 

@@ -170,8 +170,8 @@ def test_adam_zero_gradient_leaves_parameters():
 def test_adam_single_step_closed_form():
     ps = ParamSet(1, dtype=np.float64)
     p = ps.add("p", (1,), init="ones")
-    p.grad[...] = 1.0
     opt = Adam(ps, lr=0.1)
+    p.grad[...] = 1.0
     opt.step()
     # m_hat = 1, v_hat = 1 at t=1, so the step is lr / (1 + eps)
     expected_step = 0.1 / (1.0 + 1e-8)
@@ -345,6 +345,37 @@ def test_per_pair_backward_matches_single_batch_graph():
         np.testing.assert_allclose(
             model.params[name].grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name
         )
+
+
+@pytest.mark.parametrize("name", [n for n in models.PRESET_NAMES if n.endswith("_desk")])
+def test_pair_backward_leaves_no_grad_on_non_parameter_leaves(name):
+    model = init_model(models.preset(name), head_init="random")
+    pair = desk_pair(5)
+    loss = training._pair_loss(model, pair.fix, pair.mov, quick_config())
+    backward(loss)
+    params = {id(t) for t in model.params.tensors()}
+    seen, stack, stray = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._backward is None and id(node) not in params and node.grad is not None:
+            stray.append(node.shape)
+    assert stray == []
+    assert all(t.grad is not None for t in model.params.tensors())
+
+
+def test_loaded_checkpoint_has_no_grads_and_still_trains(tmp_path):
+    path = tmp_path / "m.prck"
+    models.save_checkpoint(init_model(models.preset("pure_mlp_desk"), head_init="random"), path)
+    model = models.load_checkpoint(path)
+    assert all(t.grad is None for t in model.params.tensors())
+    pair = desk_pair(6)
+    result = train(model, [pair], [pair], quick_config(max_epochs=1, patience=1))
+    assert len(result.log) == 1 and math.isfinite(result.log[0].train_loss)
+    assert all(t.grad is not None for t in model.params.tensors())
 
 
 _PEAK_RSS_SCRIPT = """
