@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, models, svf, training
-from .gradcore import ContractError, DimensionError, grad_check, set_grad_fault
+from .gradcore import DimensionError, grad_check, set_grad_fault
 from .metrics import jacobian_stats, evaluate_pairs
 from .models import CheckpointError, ConfigError, init_model, load_checkpoint, preset
-from .svf import FieldKindError, compose_displacements, mean_interior_magnitude
+from .svf import compose_displacements, mean_interior_magnitude
 from .training import TrainConfig, TrainingDiverged, symmetric_loss
 
 
@@ -261,19 +261,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (
-        ConfigError,
-        ContractError,
-        DimensionError,
-        FieldKindError,
-        dataio.ManifestError,
-        dataio.PgmParseError,
-        FileNotFoundError,
-        IsADirectoryError,
-        NotADirectoryError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -283,11 +283,8 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
         return ("ok", rows, jrow, values.tolist())
 
     report = EvalReport()
-    if threads == 1:
-        outcomes = [one(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, pairs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(one, pairs))
     for outcome in outcomes:
         if outcome[0] == "skip":
             report.skipped.append((outcome[1], outcome[2]))

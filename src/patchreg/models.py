@@ -290,7 +290,7 @@ class RegistrationModel:
     def dtype(self):
         return self.params.dtype
 
-    def _check_images(self, fix, mov) -> tuple[np.ndarray, np.ndarray]:
+    def check_images(self, fix, mov) -> tuple[np.ndarray, np.ndarray]:
         """The images as constants: numpy arrays in the model dtype."""
         s = self.config.image_size
         fix, mov = np.asarray(fix, dtype=self.dtype), np.asarray(mov, dtype=self.dtype)
@@ -300,7 +300,7 @@ class RegistrationModel:
         return fix, mov
 
     def child_velocities(self, fix, mov) -> list[VectorField]:
-        fix, mov = self._check_images(fix, mov)
+        fix, mov = self.check_images(fix, mov)
         return [c.velocity(fix, mov) for c in self.children]
 
     def fused_velocity(self, fix, mov) -> VectorField:

@@ -67,6 +67,23 @@ class AugmentationSpec:
             speckle=False,
         )
 
+    def validate(self) -> None:
+        """Each value must give ``augment_pair`` a range it can draw from:
+        finite, low <= high and of finite width."""
+        d, b = self.rotate_deg, self.brightness_delta
+        ranges = {
+            "rotate_deg": ((-d, d), "finite and >= 0"),
+            "crop_min_scale": ((self.crop_min_scale, 1.0), "in (0, 1]"),
+            "brightness_delta": ((-b, b), "finite and >= 0"),
+            "contrast_range": (self.contrast_range, "finite with low <= high"),
+            "sharpen_amount": (self.sharpen_amount, "finite with low <= high"),
+            "blur_sigma": (self.blur_sigma, "finite with low <= high"),
+            "speckle_var": ((0.0, self.speckle_var), "finite and >= 0"),
+        }
+        for key, ((low, high), rule) in ranges.items():
+            if not (math.isfinite(high - low) and low <= high) or (key == "crop_min_scale" and low <= 0):
+                raise ConfigError(f"train.augment.{key} must be {rule}, got {getattr(self, key)!r}")
+
     def to_dict(self) -> dict:
         return config_to_dict(self)
 
@@ -83,7 +100,7 @@ class TrainConfig:
     lam: float = 0.01
     batch_size: int = 8
     seed: int = 0
-    precision: str = "f32"
+    precision: str = "f32"  # the CLI builds the model in this dtype; train() uses the model's
     literal_regularizer: bool = False
     augment: AugmentationSpec = field(default_factory=AugmentationSpec)
 
@@ -98,6 +115,7 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.precision not in ("f32", "f64"):
             raise ConfigError("precision must be 'f32' or 'f64'")
+        self.augment.validate()
 
     @property
     def dtype(self):
@@ -283,15 +301,20 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
+    """The epoch log and the best epoch; the model itself holds the
+    final parameters. With an ``out_dir``, ``best_checkpoint.prck`` holds
+    the best epoch's."""
+
     log: list[EpochLog]
     best_epoch: int
     best_val_loss: float
     steps: int
     stopped_early: bool
-    best_state: dict[str, np.ndarray]
 
 
 def _pair_loss(model: RegistrationModel, fix, mov, cfg: TrainConfig) -> Tensor:
+    """The pair's symmetric loss, images cast once to the model dtype."""
+    fix, mov = model.check_images(fix, mov)
     result = model.register(fix, mov)
     return symmetric_loss(fix, mov, result, cfg.lam, cfg.literal_regularizer)
 
@@ -328,19 +351,23 @@ def train(
     graph is alive: memory does not grow with the batch size. The logged
     batch loss is the mean of the pair losses.
 
-    Keeps the best-validation parameter snapshot; when ``out_dir`` is
-    given, writes ``log.csv``, ``checkpoint.prck`` (final) and
-    ``best_checkpoint.prck``.
+    Training and validation run in the model dtype. The model ends with
+    the last epoch's parameters and no copy of them is kept. When
+    ``out_dir`` is given it is created first; ``best_checkpoint.prck``
+    is written each time the validation loss improves, and ``log.csv``
+    and ``checkpoint.prck`` (the last epoch) when training ends.
     """
     cfg.validate()
     if not train_pairs or not val_pairs:
         raise ConfigError("training and validation splits must be non-empty")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, lr=cfg.lr)
     log: list[EpochLog] = []
     best_val = math.inf
     best_epoch = 0
-    best_state = model.params.copy_arrays()
     since_improve = 0
     steps = 0
     stopped_early = False
@@ -355,8 +382,6 @@ def train(
             pair_losses: list[float] = []
             for pair in batch:
                 fix, mov = augment_pair(pair.fix, pair.mov, cfg.augment, rng)
-                fix = fix.astype(cfg.dtype)
-                mov = mov.astype(cfg.dtype)
                 loss = _pair_loss(model, fix, mov, cfg)
                 value = loss.item()
                 if not math.isfinite(value):
@@ -376,29 +401,16 @@ def train(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_state = model.params.copy_arrays()
             since_improve = 0
+            if out_dir is not None:
+                save_checkpoint(model, out_dir / "best_checkpoint.prck")
         else:
             since_improve += 1
             if since_improve > cfg.patience:
                 stopped_early = True
                 break
 
-    result = TrainResult(
-        log=log,
-        best_epoch=best_epoch,
-        best_val_loss=best_val,
-        steps=steps,
-        stopped_early=stopped_early,
-        best_state=best_state,
-    )
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_log_csv(log, out_dir / "log.csv")
         save_checkpoint(model, out_dir / "checkpoint.prck")
-        final_state = model.params.copy_arrays()
-        model.params.load_arrays(best_state)
-        save_checkpoint(model, out_dir / "best_checkpoint.prck")
-        model.params.load_arrays(final_state)
-    return result
+    return TrainResult(log, best_epoch, best_val, steps, stopped_early)

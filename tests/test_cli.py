@@ -177,6 +177,29 @@ def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)
 
 
+# augmentation values numpy cannot draw from; at eight epochs each
+# transform is drawn at least once, so without the config check these
+# fail mid-run, after resolved_config.json is written
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rotate_deg", math.nan),
+        ("brightness_delta", math.inf),
+        ("contrast_range", [math.nan, 1.0]),
+        ("crop_min_scale", 1.5),
+        ("speckle_var", -0.01),
+    ],
+    ids=["rotate-nan", "brightness-inf", "contrast-nan", "crop-above-1", "speckle-negative"],
+)
+def test_train_bad_augmentation_exit_2_before_training(tmp_path, synth_dir, key, value):
+    train = {"max_epochs": 8, "patience": 8, "augment": {key: value}}
+    config = {"model": {"preset": "pure_mlp_desk"}, "train": train, "data": _SYNTH_DATA}
+    rc, err = train_with_config(tmp_path, config)
+    assert_one_line_error(rc, err, 2)
+    assert f"train.augment.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 # a valid config whose manifest does not exist; the fuzz replaces one
 # field (or the whole config) with random JSON, so every case ends before
 # training, in exit 2

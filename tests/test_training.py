@@ -329,6 +329,49 @@ def test_training_writes_artifacts(tmp_path):
     assert header == "epoch,train_loss,val_loss,seconds"
 
 
+def test_best_checkpoint_holds_the_best_epoch(tmp_path):
+    # the best epoch (3 of 7 here) comes before the last, so the final and
+    # best parameters differ; a rerun that stops at the best epoch ends
+    # with the parameters best_checkpoint.prck must hold
+    train_pairs = [desk_pair(seed) for seed in (1, 2, 3, 4)]
+    val_pairs = [desk_pair(5)]
+
+    def run(max_epochs, out):
+        model = init_model(models.preset("pure_mlp_desk"))
+        cfg = quick_config(max_epochs=max_epochs, patience=min(3, max_epochs), batch_size=2,
+                           augment=AugmentationSpec())
+        return train(model, train_pairs, val_pairs, cfg, out_dir=out)
+
+    full = run(12, tmp_path / "full")
+    assert full.best_epoch < len(full.log)
+    run(full.best_epoch, tmp_path / "rerun")
+    best = (tmp_path / "full" / "best_checkpoint.prck").read_bytes()
+    assert (tmp_path / "rerun" / "checkpoint.prck").read_bytes() == best
+    assert (tmp_path / "full" / "checkpoint.prck").read_bytes() != best
+
+
+def test_training_without_out_dir_copies_no_parameters(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("train() copied the parameter arrays")
+
+    monkeypatch.setattr(ParamSet, "copy_arrays", refuse)
+    monkeypatch.setattr(ParamSet, "load_arrays", refuse)
+    pair = desk_pair()
+    model = init_model(models.preset("pure_mlp_desk"))
+    result = train(model, [pair], [pair], quick_config(max_epochs=2, patience=2))
+    assert len(result.log) == 2
+
+
+def test_validation_runs_in_the_model_dtype():
+    model = init_model(models.preset("pure_mlp_desk"), head_init="random")
+    pair = desk_pair(5)
+    assert pair.fix.dtype == np.float64
+    cfg = quick_config()
+    assert training._pair_loss(model, pair.fix, pair.mov, cfg).dtype == np.float32
+    cast = training._pair_loss(model, pair.fix.astype(np.float32), pair.mov.astype(np.float32), cfg)
+    assert training.evaluate_loss(model, [pair], cfg) == cast.item()
+
+
 def test_per_pair_backward_matches_single_batch_graph():
     pairs = [desk_pair(seed) for seed in (3, 4, 5)]
     cfg = quick_config(max_epochs=1, patience=1, batch_size=3, precision="f64")
