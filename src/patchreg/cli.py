@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, models, svf, training
-from .gradcore import DimensionError, grad_check, set_grad_fault
+from .gradcore import DimensionError, grad_check, no_grad, set_grad_fault
 from .metrics import jacobian_stats, evaluate_pairs
 from .models import CheckpointError, ConfigError, init_model, load_checkpoint, preset
 from .svf import compose_displacements, mean_interior_magnitude
@@ -99,7 +99,8 @@ def cmd_register(args) -> int:
     else:
         fix = dataio.resize_image(fix, size)
         mov = dataio.resize_image(mov, size)
-    result = model.register(fix, mov)
+    with no_grad():
+        result = model.register(fix, mov)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     svf.write_field(result.disp_forward, out / "disp_forward.prgf")

@@ -8,22 +8,29 @@ operand that is not a :class:`Tensor` (a numpy array or a scalar) is a
 constant. :func:`as_tensor` marks it, the op's node keeps no edge to
 it, and a node whose operands are all constants is a constant too and
 keeps no closure; :func:`backward` never reaches one. Images, loss
-targets and sampling grids are such constants. Only leaves (parameters,
-inputs) keep a ``grad`` array: it is created by the first gradient that
-reaches the leaf (an optimizer gives parameters a zeroed one before
-that), and intermediate gradients are dropped as soon as they have
-been passed on. Gradients accumulate at the leaves across backward
-calls until explicitly zeroed, so training loops must zero parameter
-grads between steps.
+targets and sampling grids are such constants. Inside a :func:`no_grad`
+block every operand counts as one, so every op output is a constant and
+a forward pass keeps no graph; the mode is per thread. Only leaves
+(parameters, inputs) keep a ``grad`` array: it is created by the first
+gradient that reaches the leaf (an optimizer gives parameters a zeroed
+one before that), and intermediate gradients are dropped as soon as
+they have been passed on. Gradients accumulate at the leaves across
+backward calls until explicitly zeroed, so training loops must zero
+parameter grads between steps.
 
-Besides the elementary kernels there is one fused kernel,
-:func:`window_attention`, the windowed attention of the swin family:
+Besides the elementary kernels there are two fused kernels.
+:func:`window_attention` is the windowed attention of the swin family:
 ``softmax(scale * q @ kᵀ + bias + mask) @ v`` on ``[n_windows, heads,
 t, head_dim]`` windows. The scale is folded into ``q`` before the
 product, so the ``[n_windows, heads, t, t]`` logits live in one buffer
 that bias, mask and softmax update in place; the node keeps the scaled
 ``q``, ``k``, ``v`` and the probabilities. The mask may hold ``-inf``
 as long as every row of every window keeps at least one finite logit.
+:func:`mlp_branch` is the pre-norm MLP sub-layer every block ends in,
+``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2``, with the arithmetic of
+that chain in the same order, so it is bit-identical to it. With a graph
+it keeps what its backward needs; without one it runs in row blocks
+whose temporaries the heap reuses, and keeps nothing.
 
 float64 is the precision for finite-difference verification, float32 the
 training default. Every kernel here is checked against central finite
@@ -32,7 +39,9 @@ differences in the test suite; :func:`grad_check` is the harness.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +65,28 @@ _GRAD_FAULT = False
 def set_grad_fault(enabled: bool) -> None:
     global _GRAD_FAULT
     _GRAD_FAULT = bool(enabled)
+
+
+class _GradMode(threading.local):
+    """Whether ops on this thread record a graph; see :func:`no_grad`."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, on the calling thread only, every op output is a
+    constant: its node keeps no edge and no closure, so the arrays of a
+    forward pass are freed as soon as nothing else references them."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 class Tensor:
@@ -115,11 +146,12 @@ class Tensor:
 
 def _node(data, parents, backward_fn) -> Tensor:
     """An op's output. A constant parent's edge is None, so ``backward_fn``'s
-    value in its slot is dropped; with no edge left the output is a constant."""
+    value in its slot is dropped; with no edge left, or under
+    :func:`no_grad`, the output is a constant."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    edges = tuple(p if p.requires_grad else None for p in parents)
+    edges = tuple(p if p.requires_grad else None for p in parents) if _GRAD_MODE.enabled else ()
     out.requires_grad = edges.count(None) < len(edges)
     out._parents = edges if out.requires_grad else ()
     out._backward = backward_fn if out.requires_grad else None
@@ -325,7 +357,33 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(data, (x, w, b), backward_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5
+
+
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """x̂ and 1/σ of the last axis: x̂ = (x - mean) / sqrt(var + eps), with
+    the biased variance. x̂ is a new array in ``x``'s memory layout."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    return xhat, inv
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
+    """Gradients of x, gamma and beta for ``xhat * gamma + beta``."""
+    d = xhat.shape[-1]
+    flat_g = g.reshape(-1, d)
+    ggamma = (flat_g * xhat.reshape(-1, d)).sum(axis=0)
+    gbeta = flat_g.sum(axis=0)
+    h = g * gamma
+    m = (h * xhat).mean(axis=-1, keepdims=True)
+    h -= h.mean(axis=-1, keepdims=True)
+    h -= xhat * m
+    h *= inv
+    return h, ggamma, gbeta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (biased
     estimator), then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -336,25 +394,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0:
         raise ContractError("layer_norm: eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat, inv = _normalize(x.data, eps)
     data = xhat * gamma.data + beta.data
 
     def backward_fn(g):
-        flat_g = g.reshape(-1, d)
-        flat_xhat = xhat.reshape(-1, d)
-        ggamma = (flat_g * flat_xhat).sum(axis=0)
-        gbeta = flat_g.sum(axis=0)
-        h = g * gamma.data
-        gx = inv * (
-            h
-            - h.mean(axis=-1, keepdims=True)
-            - xhat * (h * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, ggamma, gbeta
+        return _layer_norm_grads(g, xhat, inv, gamma.data)
 
     return _node(data, (x, gamma, beta), backward_fn)
 
@@ -362,23 +406,50 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation.
+def _gelu_tanh(h: np.ndarray) -> np.ndarray:
+    """t = tanh(c * (h + 0.044715 * h³)) in a new array; gelu(h) = 0.5 * h * (1 + t).
 
     Powers are written as products: numpy's float ``pow`` costs many
     times more than the multiplies.
     """
+    t = np.multiply(h, h, out=np.empty_like(h))  # an array even for 0-d h
+    t *= h
+    t *= 0.044715
+    t += h
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu_slope(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gelu'(h) = 0.5 * (1 + t) + 0.5 * h * (1 - t²) * c * (1 + 3 * 0.044715 * h²)
+    in a new array, given ``t = _gelu_tanh(h)``; negated under the grad
+    fault."""
+    du = h * h
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    s = np.multiply(t, t, out=np.empty_like(t))
+    np.subtract(1.0, s, out=s)
+    dh = h * 0.5
+    dh *= s
+    dh *= du
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    s += dh
+    if _GRAD_FAULT:
+        np.negative(s, out=s)
+    return s
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
     xd = x.data
-    t = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
+    t = _gelu_tanh(xd)
     data = 0.5 * xd * (1.0 + t)
 
     def backward_fn(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
-        d = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-        if _GRAD_FAULT:
-            d = -d
-        return (g * d,)
+        return (g * _gelu_slope(xd, t),)
 
     return _node(data, (x,), backward_fn)
 
@@ -452,6 +523,80 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale:
         return gq, gk, gv, gs.sum(axis=0)
 
     return _node(p @ vd, (q, k, v, bias), backward_fn)
+
+
+# Hidden values per row block when mlp_branch keeps no graph. Each
+# block's hidden-size temporaries (about 512 KiB in float32) are freed
+# before the next block asks for the same sizes, so the heap hands the
+# same pages back instead of mapping and faulting in new ones. The value
+# comes from a 2**14..2**18 sweep of no-graph ``register`` (CHANGES.md).
+_MLP_BLOCK = 1 << 17
+
+
+def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Pre-norm MLP branch ``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2`` as one node.
+
+    ``x`` is ``[n, d]`` and may be a transposed view; the normalisation
+    runs over its last axis, as :func:`layer_norm` with its default
+    ``eps``, and :func:`gelu` is the tanh approximation. Every step is
+    the arithmetic of that composite chain in the same order, updated in
+    place where the chain would allocate a fresh array, so values and
+    gradients are bit-identical to it.
+
+    One forward loop runs over row blocks. When the output gets a graph
+    node, the loop runs once over all rows and the node keeps x̂, 1/σ,
+    the ``fc1`` input, the pre-activation ``h``, ``tanh`` and gelu(h).
+    Otherwise (under :func:`no_grad`, or with constant operands) blocks
+    hold about ``_MLP_BLOCK`` hidden values, a short last block joins the
+    one before it, and nothing is kept. Block rows match the whole-matrix
+    rows bit for bit where BLAS gives a row block's product the bits of
+    the same rows of the whole product, as it does for the shipped
+    presets' power-of-two shapes; elsewhere they agree to rounding.
+    """
+    ops = tuple(as_tensor(t) for t in (x, gamma, beta, w1, b1, w2, b2))
+    x, gamma, beta, w1, b1, w2, b2 = ops
+    if x.ndim != 2:
+        raise DimensionError(f"mlp_branch: input must be [n, d], got {x.shape}")
+    n, d = x.shape
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise DimensionError(
+            f"mlp_branch: scale/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
+        )
+    if w1.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:]:
+        raise DimensionError(f"mlp_branch: fc1 {w1.shape} + {b1.shape} does not fit width {d}")
+    hidden = w1.shape[1]
+    if w2.ndim != 2 or w2.shape[0] != hidden or b2.shape != w2.shape[1:]:
+        raise DimensionError(f"mlp_branch: fc2 {w2.shape} + {b2.shape} does not fit hidden width {hidden}")
+    xd, gd, bd, w1d, b1d, w2d, b2d = (t.data for t in ops)
+    keep = _GRAD_MODE.enabled and any(t.requires_grad for t in ops)  # the output gets a node
+    step = max(n if keep else _MLP_BLOCK // hidden, 1)
+    starts = list(range(0, max(n - step, 0) + 1, step))  # the last block takes the remainder
+    outs = []
+    for r0, r1 in zip(starts, starts[1:] + [n]):
+        xhat, inv = _normalize(xd[r0:r1], _LN_EPS)  # keeps a transposed input's layout
+        y = np.multiply(xhat, gd, out=None if keep else xhat)
+        y += bd
+        h = y @ w1d
+        h += b1d
+        t = _gelu_tanh(h)
+        a = np.multiply(h, 0.5, out=None if keep else h)
+        a *= np.add(t, 1.0, out=None if keep else t)
+        o = a @ w2d
+        o += b2d
+        outs.append(o)
+    data = outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+    def backward_fn(g):
+        gw2 = a.T @ g
+        gb2 = g.sum(axis=0)
+        gh = g @ w2d.T
+        gh *= _gelu_slope(h, t)
+        gw1 = y.T @ gh
+        gb1 = gh.sum(axis=0)
+        gx, ggamma, gbeta = _layer_norm_grads(gh @ w1d.T, xhat, inv, gd)
+        return gx, ggamma, gbeta, gw1, gb1, gw2, gb2
+
+    return _node(data, ops, backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gradcore import DimensionError
+from .gradcore import DimensionError, no_grad
 from .svf import VectorField, identity_grid, jacobian_determinant
 
 LABEL_NAMES = {1: "lv_endo", 2: "myocardium", 3: "left_atrium"}
@@ -236,9 +236,13 @@ def _summary(vals: np.ndarray) -> dict:
 
 
 def worker_count() -> int:
-    """PATCHREG_THREADS, which must be a positive integer, else the core count."""
+    """PATCHREG_THREADS, which must be a positive integer, else the number
+    of CPUs this process may run on (its affinity mask where the platform
+    has one, so a pinned process is not oversubscribed)."""
     env = os.environ.get("PATCHREG_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"PATCHREG_THREADS must be a positive integer, got {env!r}")
@@ -251,8 +255,8 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
 
     ``model`` may be None when every pair carries a precomputed
     ``disp_forward``. Pairs without masks are skipped with a logged
-    reason. Per-pair work runs on a thread pool capped by
-    PATCHREG_THREADS.
+    reason. Per-pair work runs on a thread pool of ``threads`` workers
+    (default :func:`worker_count`); each worker registers without a graph.
     """
     if threads is None:
         threads = worker_count()
@@ -263,7 +267,8 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
         if pair.disp_forward is not None:
             disp = pair.disp_forward
         elif model is not None:
-            disp = model.register(pair.ed_image, pair.es_image).disp_forward
+            with no_grad():
+                disp = model.register(pair.ed_image, pair.es_image).disp_forward
         else:
             return ("skip", pair.pair_id, "no model and no precomputed field")
         warped = warp_mask(pair.es_mask, disp)

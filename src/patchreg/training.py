@@ -22,6 +22,7 @@ from .gradcore import (
     cmul,
     mean_all,
     mul,
+    no_grad,
     slice_tensor,
     sub,
 )
@@ -320,10 +321,11 @@ def _pair_loss(model: RegistrationModel, fix, mov, cfg: TrainConfig) -> Tensor:
 
 
 def evaluate_loss(model: RegistrationModel, pairs, cfg: TrainConfig) -> float:
-    """Mean symmetric loss over pairs, no augmentation, no updates."""
+    """Mean symmetric loss over pairs, no augmentation, no updates, no graph."""
     total = 0.0
-    for pair in pairs:
-        total += _pair_loss(model, pair.fix, pair.mov, cfg).item()
+    with no_grad():
+        for pair in pairs:
+            total += _pair_loss(model, pair.fix, pair.mov, cfg).item()
     return total / len(pairs)
 
 

@@ -538,3 +538,168 @@ def test_grad_check_deterministic():
     r2 = grad_check(_quadratic, ps, n_probes=5, seed=42)
     assert [p.index for p in r1.probes] == [p.index for p in r2.probes]
     assert r1.max_rel_err == r2.max_rel_err
+
+
+# ---------------------------------------------------------------------------
+# no_grad: op outputs are constants on the calling thread
+
+
+def test_ops_under_no_grad_return_constants_and_backward_is_a_no_op():
+    rng = np.random.default_rng(20)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 4), (4, 3), (3,)))
+
+    def forward():
+        h = gelu(linear(x, w, b))
+        return h, gc.sum_all(gc.mul(h, h))
+
+    with gc.no_grad():
+        h, root = forward()
+    for t in (h, root):
+        assert not t.requires_grad and t._backward is None and t._parents == ()
+    backward(root)
+    assert root.grad is None and all(t.grad is None for t in (x, w, b))
+    recorded_h, recorded_root = forward()
+    assert recorded_root.requires_grad
+    assert np.array_equal(h.data, recorded_h.data) and np.array_equal(root.data, recorded_root.data)
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    x = Tensor(np.ones(3))
+    with gc.no_grad():
+        with gc.no_grad():
+            assert not gc.neg(x).requires_grad
+        assert not gc.neg(x).requires_grad
+    assert gc.neg(x).requires_grad
+    with pytest.raises(RuntimeError, match="inside"):
+        with gc.no_grad():
+            raise RuntimeError("inside")
+    assert gc.neg(x).requires_grad
+
+
+def test_no_grad_is_thread_local():
+    import threading
+
+    x = Tensor(np.ones(3))
+    entered, checked, seen = threading.Event(), threading.Event(), {}
+
+    def worker_inside():
+        with gc.no_grad():
+            entered.set()
+            checked.wait(10)
+            seen["worker"] = gc.neg(x).requires_grad
+
+    thread = threading.Thread(target=worker_inside)
+    thread.start()
+    assert entered.wait(10)
+    seen["main"] = gc.neg(x).requires_grad
+    checked.set()
+    thread.join(10)
+    assert seen == {"main": True, "worker": False}
+
+    def worker_outside():
+        seen["worker"] = gc.neg(x).requires_grad
+
+    with gc.no_grad():
+        thread = threading.Thread(target=worker_outside)
+        thread.start()
+        thread.join(10)
+        seen["main"] = gc.neg(x).requires_grad
+    assert seen == {"main": False, "worker": True}
+
+
+# ---------------------------------------------------------------------------
+# mlp_branch: the fused layer_norm -> fc1 -> gelu -> fc2 sub-layer
+
+_MLP_NAMES = ("x", "gamma", "beta", "w1", "b1", "w2", "b2")
+
+
+def mlp_operands(seed, n, d, hidden, d_out=None, dtype=np.float64):
+    """x [n, d] and the six parameters, scaled so gelu sees both signs."""
+    rng = np.random.default_rng(seed)
+    d_out = d if d_out is None else d_out
+    shapes = [(n, d), (d,), (d,), (d, hidden), (hidden,), (hidden, d_out), (d_out,)]
+    scales = [1.0, 0.5, 0.5, 1.0 / np.sqrt(d), 0.5, 1.0 / np.sqrt(hidden), 0.5]
+    arrays = [rng.normal(0.0, s, size=shape) for shape, s in zip(shapes, scales)]
+    arrays[1] += 1.0
+    return [a.astype(dtype) for a in arrays]
+
+
+def composite_mlp(x, gamma, beta, w1, b1, w2, b2):
+    """The unfused chain: layer_norm -> linear -> gelu -> linear."""
+    return linear(gelu(linear(layer_norm(x, gamma, beta), w1, b1)), w2, b2)
+
+
+def run_mlp(op, arrays, transposed):
+    """``op``'s output and the gradients of all seven operands under a
+    fixed readout in the operands' dtype; a transposed input is the view
+    a mixer token sub-layer gets."""
+    ts = [Tensor(a.T.copy() if transposed and i == 0 else a.copy()) for i, a in enumerate(arrays)]
+    x = gc.transpose(ts[0]) if transposed else ts[0]
+    out = op(x, *ts[1:])
+    r = np.random.default_rng(21).normal(size=out.shape).astype(out.dtype)
+    backward(gc.sum_all(gc.mul(out, Tensor(r))))
+    return out.data, [t.grad for t in ts]
+
+
+def test_mlp_branch_finite_difference_all_seven_operands():
+    ps = ParamSet(22, dtype=np.float64)
+    for name, a in zip(_MLP_NAMES, mlp_operands(23, n=5, d=6, hidden=9, d_out=4)):
+        ps.add(name, a.shape).data[...] = a
+
+    def f(params):
+        return scalar_readout(gc.mlp_branch(*(params[n] for n in _MLP_NAMES)), seed=24)
+
+    report = grad_check(f, ps, n_probes=120, step=1e-6, seed=25)
+    assert {p.name for p in report.probes} == set(_MLP_NAMES)
+    assert report.max_rel_err < 1e-6, report.worst
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed"])
+def test_mlp_branch_is_bit_identical_to_the_composite_chain(dtype, transposed):
+    # 640 rows at hidden width 512 are 2.5 blocks of the no-graph forward
+    arrays = mlp_operands(26, n=640, d=128, hidden=512, dtype=dtype)
+    assert 640 * 512 == 5 * gc._MLP_BLOCK // 2
+    fused_out, fused_grads = run_mlp(gc.mlp_branch, arrays, transposed)
+    chain_out, chain_grads = run_mlp(composite_mlp, arrays, transposed)
+    assert fused_out.dtype == dtype
+    assert np.array_equal(fused_out, chain_out)
+    for name, fused, chain in zip(_MLP_NAMES, fused_grads, chain_grads):
+        assert fused.dtype == dtype and np.array_equal(fused, chain), name
+
+    x = arrays[0].T.copy().T if transposed else arrays[0]
+    params = [Tensor(a) for a in arrays[1:]]
+    with gc.no_grad():
+        blocked = gc.mlp_branch(x, *params)
+    constant = gc.mlp_branch(x, *arrays[1:])  # no Tensor operand: no graph either
+    assert not blocked.requires_grad and not constant.requires_grad
+    assert np.array_equal(blocked.data, fused_out)
+    assert np.array_equal(constant.data, fused_out)
+
+
+def test_mlp_branch_shape_errors():
+    x, g, b, w1, b1, w2, b2 = mlp_operands(27, n=3, d=4, hidden=6)
+    with pytest.raises(DimensionError, match="input"):
+        gc.mlp_branch(x[None], g, b, w1, b1, w2, b2)
+    with pytest.raises(DimensionError, match="scale/shift"):
+        gc.mlp_branch(x, g[:2], b, w1, b1, w2, b2)
+    with pytest.raises(DimensionError, match="fc1"):
+        gc.mlp_branch(x, g, b, w1[:2], b1, w2, b2)
+    with pytest.raises(DimensionError, match="fc2"):
+        gc.mlp_branch(x, g, b, w1, b1, w2[:2], b2)
+
+
+def test_grad_check_detects_corrupted_mlp_branch_backward():
+    ps = ParamSet(28, dtype=np.float64)
+    for name, a in zip(_MLP_NAMES, mlp_operands(29, n=4, d=5, hidden=7)):
+        ps.add(name, a.shape).data[...] = a
+
+    def f(params):
+        return scalar_readout(gc.mlp_branch(*(params[n] for n in _MLP_NAMES)), seed=30)
+
+    gc.set_grad_fault(True)
+    try:
+        report = grad_check(f, ps, n_probes=40, step=1e-6, seed=31)
+    finally:
+        gc.set_grad_fault(False)
+    assert report.max_rel_err > 1e-2

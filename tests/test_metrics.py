@@ -308,3 +308,19 @@ def test_report_write_and_aggregate(tmp_path, zero_model):
     assert {"mean", "std", "median", "q1", "q3"} <= set(
         agg["structures"]["lv_endo"]["hd"].keys()
     )
+
+
+def test_worker_count_is_the_affinity_mask_unless_the_env_sets_it(monkeypatch):
+    import os
+
+    from patchreg.metrics import worker_count
+
+    monkeypatch.delenv("PATCHREG_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("PATCHREG_THREADS", "3")
+    assert worker_count() == 3
+    monkeypatch.delenv("PATCHREG_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 8

@@ -414,3 +414,80 @@ def test_config_round_trips_through_dict():
     )
     train_cfg = training.TrainConfig(lr=3e-4, precision="f64", augment=augment)
     assert training.TrainConfig.from_dict(train_cfg.to_dict()) == train_cfg
+
+
+# ---------------------------------------------------------------------------
+# forward without a graph
+
+_RESULT_FIELDS = ("velocity", "disp_forward", "disp_inverse")
+
+
+@pytest.mark.parametrize("name", ["pure_mlp_desk", "mlp_mixer_desk", "swin_trans_desk", "pure_mlp_s"])
+def test_register_under_no_grad_is_bit_identical_to_register_with_a_graph(name):
+    cfg = preset(name)
+    model = init_model(cfg, head_init="random")
+    pair = dataio.synth_pair(5, size=cfg.image_size, max_disp=3.0)
+    recorded = model.register(pair.fix, pair.mov)
+    with gradcore.no_grad():
+        bare = model.register(pair.fix, pair.mov)
+    for field in _RESULT_FIELDS:
+        a, b = getattr(recorded, field), getattr(bare, field)
+        assert a.data.requires_grad and not b.data.requires_grad
+        assert np.array_equal(a.array, b.array), field
+
+
+def test_register_under_no_grad_retains_only_its_result():
+    import tracemalloc
+
+    cfg = preset("pure_mlp_s")
+    model = init_model(cfg, head_init="random")
+    pair = dataio.synth_pair(6, size=cfg.image_size, max_disp=3.0)
+    with gradcore.no_grad():
+        model.register(pair.fix, pair.mov)  # warm-up: nothing first-call-only counts below
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = model.register(pair.fix, pair.mov)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    result_bytes = sum(getattr(result, f).array.nbytes for f in _RESULT_FIELDS)
+    assert retained <= result_bytes + (1 << 20), (retained, result_bytes)
+
+
+@pytest.mark.parametrize("name", ["pure_mlp_desk", "mlp_mixer_desk", "swin_trans_desk"])
+def test_evaluate_loss_equals_the_recorded_pair_loss(name):
+    model = init_model(preset(name), head_init="random")
+    cfg = training.TrainConfig()
+    pairs = [dataio.synth_pair(7 + i, size=64, max_disp=3.0) for i in range(2)]
+    recorded = [training._pair_loss(model, p.fix, p.mov, cfg) for p in pairs]
+    assert all(loss.requires_grad for loss in recorded)
+    assert training.evaluate_loss(model, pairs, cfg) == (recorded[0].item() + recorded[1].item()) / 2
+
+
+def test_register_evaluate_and_validation_keep_no_graph(monkeypatch, tmp_path):
+    from patchreg import cli, metrics
+
+    recorded = []
+    register = models.RegistrationModel.register
+
+    def spy(self, fix, mov):
+        result = register(self, fix, mov)
+        recorded.append(result.disp_forward.data.requires_grad)
+        return result
+
+    monkeypatch.setattr(models.RegistrationModel, "register", spy)
+    model = init_model(preset("pure_mlp_desk"), head_init="random")
+    pair = dataio.synth_pair(8, size=64, max_disp=3.0)
+    model.register(pair.fix, pair.mov)
+    assert recorded == [True]
+    training.evaluate_loss(model, [pair], training.TrainConfig())
+    eval_pairs = [metrics.EvalPair(f"p{i}", pair.fix, pair.mov, pair.fix_mask, pair.mov_mask) for i in range(2)]
+    metrics.evaluate_pairs(model, eval_pairs, threads=2)
+    save_checkpoint(model, tmp_path / "model.prck")
+    for name, img in (("fix", pair.fix), ("mov", pair.mov)):
+        dataio.write_pgm(img, tmp_path / f"{name}.pgm")
+    argv = ["register", "--checkpoint", str(tmp_path / "model.prck"), "--fix", str(tmp_path / "fix.pgm"),
+            "--mov", str(tmp_path / "mov.pgm"), "--out", str(tmp_path / "reg")]
+    assert cli.main(argv) == 0
+    assert recorded == [True, False, False, False, False]
