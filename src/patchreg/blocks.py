@@ -85,11 +85,6 @@ class PatchEmbed:
         return TokenMap(h // p, w // p, linear(_tile(img, p), self.w, self.b))
 
 
-def extract_patches(img: np.ndarray, patch: int) -> np.ndarray:
-    """Plain numpy version of the tiling, [n_tokens, patch*patch]."""
-    return _tile(img, patch)
-
-
 class Mlp:
     """Pre-norm MLP branch fc2(gelu(fc1(norm(x)))) over the last axis, one
     :func:`~patchreg.gradcore.mlp_branch` call.
@@ -308,26 +303,3 @@ class SwinCrossBlock:
         )
         y = add(fix.data, linear(summed, self.wo, self.bo))
         return fix.with_data(add(y, self.mlp(y)))
-
-
-# parameter-count formulas, used by the docs and checked in the tests
-def mlp_param_count(dim: int, hidden: int) -> int:
-    return 2 * dim + (dim * hidden + hidden) + (hidden * dim + dim)
-
-
-def mlp_block_param_count(dim: int, hidden_ratio: int = 4) -> int:
-    return mlp_param_count(dim, hidden_ratio * dim)
-
-
-def mixer_block_param_count(dim: int, n_tokens: int, hidden_ratio: int = 4) -> int:
-    token = mlp_param_count(n_tokens, _token_hidden(n_tokens))
-    return token + mlp_block_param_count(dim, hidden_ratio)
-
-
-def swin_block_param_count(dim: int, window: int, heads: int, hidden_ratio: int = 4) -> int:
-    attn = 4 * dim + 4 * (dim * dim + dim) + (2 * window - 1) ** 2 * heads
-    return attn + mlp_block_param_count(dim, hidden_ratio)
-
-
-def patch_embed_param_count(patch: int, dim: int) -> int:
-    return patch * patch * dim + dim

@@ -130,6 +130,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
     model = load_checkpoint(args.checkpoint)
     pairs = dataio.load_eval_pairs(args.manifest, args.split, model.config.image_size)
     if not pairs:

@@ -306,17 +306,19 @@ class RegistrationModel:
     def fused_velocity(self, fix, mov) -> VectorField:
         return fuse_multiscale(self.child_velocities(fix, mov), self.weights)
 
+    def displacement(self, v: VectorField) -> VectorField:
+        """exp(v) by scaling and squaring, resampled to image resolution."""
+        s = self.config.image_size
+        return resample_field(integrate_svf(v, self.config.integration_steps), s, s)
+
     def register(self, fix, mov) -> RegistrationResult:
         """Full pipeline: fused velocity, forward and inverse displacement
         at image resolution. Differentiable end to end."""
-        s = self.config.image_size
         v = self.fused_velocity(fix, mov)
-        fwd = integrate_svf(v, self.config.integration_steps)
-        bwd = integrate_svf(svf.negate_field(v), self.config.integration_steps)
         return RegistrationResult(
             velocity=v,
-            disp_forward=resample_field(fwd, s, s),
-            disp_inverse=resample_field(bwd, s, s),
+            disp_forward=self.displacement(v),
+            disp_inverse=self.displacement(svf.negate_field(v)),
         )
 
 

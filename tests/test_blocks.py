@@ -12,11 +12,8 @@ from patchreg.blocks import (
     SwinCrossBlock,
     TokenMap,
     WindowPartition,
-    extract_patches,
-    mixer_block_param_count,
-    mlp_block_param_count,
-    patch_embed_param_count,
-    swin_block_param_count,
+    _tile as extract_patches,
+    _token_hidden,
 )
 from patchreg.gradcore import DimensionError, ParamSet, Tensor, grad_check
 
@@ -441,6 +438,28 @@ def test_blocks_pass_grad_check(kind):
 
 # ---------------------------------------------------------------------------
 # parameter counts match the published formulas
+
+
+def mlp_param_count(dim: int, hidden: int) -> int:
+    return 2 * dim + (dim * hidden + hidden) + (hidden * dim + dim)
+
+
+def mlp_block_param_count(dim: int, hidden_ratio: int = 4) -> int:
+    return mlp_param_count(dim, hidden_ratio * dim)
+
+
+def mixer_block_param_count(dim: int, n_tokens: int, hidden_ratio: int = 4) -> int:
+    token = mlp_param_count(n_tokens, _token_hidden(n_tokens))
+    return token + mlp_block_param_count(dim, hidden_ratio)
+
+
+def swin_block_param_count(dim: int, window: int, heads: int, hidden_ratio: int = 4) -> int:
+    attn = 4 * dim + 4 * (dim * dim + dim) + (2 * window - 1) ** 2 * heads
+    return attn + mlp_block_param_count(dim, hidden_ratio)
+
+
+def patch_embed_param_count(patch: int, dim: int) -> int:
+    return patch * patch * dim + dim
 
 
 def test_param_count_formulas():

@@ -447,6 +447,16 @@ def test_evaluate_malformed_thread_count_exit_2(tmp_path, monkeypatch, threads):
     assert_one_line_error(rc, err.getvalue(), 2)
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_evaluate_thread_flag_below_one_exit_2_before_loading(tmp_path, threads):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "absent.prck"), "--manifest",
+                   str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r"), "--threads", threads])
+    assert_one_line_error(rc, err.getvalue(), 2)
+    assert err.getvalue() == f"error: --threads must be a positive integer, got {threads}\n"
+
+
 def test_evaluate_empty_split_exit_2(tmp_path):
     manifest = make_eval_manifest(tmp_path, n=2)
     ckpt = desk_checkpoint(tmp_path)

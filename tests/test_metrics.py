@@ -1,13 +1,14 @@
 """Metric oracles: brute-force surface distances, hand-counted overlaps,
 analytic Jacobian cases, and the evaluation report plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchreg import dataio, models
+from patchreg import dataio, metrics, models
 from patchreg.metrics import (
     EmptyStructureError,
     EvalPair,
@@ -19,7 +20,7 @@ from patchreg.metrics import (
     surface_distances,
     warp_mask,
 )
-from patchreg.svf import DISPLACEMENT, VectorField, identity_grid, random_smooth_velocity
+from patchreg.svf import DISPLACEMENT, VectorField, identity_grid, integrate_svf, random_smooth_velocity
 
 
 def const_disp(h, w, dx, dy):
@@ -324,3 +325,120 @@ def test_worker_count_is_the_affinity_mask_unless_the_env_sets_it(monkeypatch):
     monkeypatch.delenv("PATCHREG_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert worker_count() == 8
+
+
+# ---------------------------------------------------------------------------
+# evaluate_pairs: forward field only, one BLAS thread per worker
+
+
+@pytest.fixture(scope="module")
+def random_model():
+    return models.init_model(models.preset("pure_mlp_desk"), head_init="random")
+
+
+def moving_eval_pairs(n):
+    out = []
+    for i in range(n):
+        p = dataio.synth_pair(20 + i, size=64, max_disp=2.0)
+        out.append(EvalPair(f"pair{i}", p.fix, p.mov, p.fix_mask, p.mov_mask))
+    return out
+
+
+def report_fields(report):
+    return (
+        [dataclasses.astuple(r) for r in report.rows],
+        [dataclasses.astuple(r) for r in report.jacobian_rows],
+        report.skipped,
+        report.pooled_jacobian,
+    )
+
+
+def test_evaluate_pairs_integrates_the_forward_field_only(random_model, monkeypatch):
+    pairs = moving_eval_pairs(2)
+    integrations = []
+    warped_by = {}
+
+    def counting_integrate(v, *args, **kwargs):
+        integrations.append(v.kind)
+        return integrate_svf(v, *args, **kwargs)
+
+    def recording_warp(mask, disp):
+        warped_by[id(mask)] = disp.array
+        return warp_mask(mask, disp)
+
+    monkeypatch.setattr(models, "integrate_svf", counting_integrate)
+    monkeypatch.setattr(metrics, "warp_mask", recording_warp)
+    evaluate_pairs(random_model, pairs, threads=1)
+    assert len(integrations) == len(pairs)
+    for p in pairs:
+        expected = random_model.register(p.ed_image, p.es_image).disp_forward.array
+        assert np.array_equal(warped_by[id(p.es_mask)], expected)
+
+
+def test_evaluate_pairs_reports_the_same_at_one_and_two_threads(random_model, monkeypatch):
+    pairs = moving_eval_pairs(3)
+    one = report_fields(evaluate_pairs(random_model, pairs, threads=1))
+    np.testing.assert_equal(report_fields(evaluate_pairs(random_model, pairs, threads=2)), one)
+    monkeypatch.setattr(metrics, "_openblas", lambda: None)
+    np.testing.assert_equal(report_fields(evaluate_pairs(random_model, pairs, threads=2)), one)
+
+
+def test_evaluate_pairs_caps_blas_only_for_a_pool_of_several_workers(zero_model, monkeypatch):
+    counts = []
+    monkeypatch.setattr(metrics, "_openblas", lambda: (lambda: 4, counts.append))
+    evaluate_pairs(zero_model, identity_eval_pairs(2), threads=1)
+    evaluate_pairs(zero_model, identity_eval_pairs(1), threads=4)
+    assert counts == []
+    evaluate_pairs(zero_model, identity_eval_pairs(2), threads=2)
+    assert counts == [1, 4]
+
+
+def test_overlapping_blas_caps_restore_the_count_when_the_last_one_closes(monkeypatch):
+    count = [3]
+    monkeypatch.setattr(metrics, "_openblas", lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    first, second = metrics._one_blas_thread(), metrics._one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    assert count == [1]
+    first.__exit__(None, None, None)
+    assert count == [1]
+    second.__exit__(None, None, None)
+    assert count == [3]
+
+
+@pytest.fixture()
+def openblas():
+    blas = metrics._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this process can find")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_evaluate_pairs_restores_the_blas_thread_count(zero_model, openblas):
+    before = openblas()
+    evaluate_pairs(zero_model, identity_eval_pairs(2), threads=2)
+    assert openblas() == before
+
+
+def test_evaluate_pairs_restores_the_blas_thread_count_when_a_worker_raises(zero_model, openblas, monkeypatch):
+    before = openblas()
+    seen = []
+
+    def failing(v):
+        seen.append(openblas())
+        raise RuntimeError("worker failed")
+
+    monkeypatch.setattr(zero_model, "displacement", failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        evaluate_pairs(zero_model, identity_eval_pairs(2), threads=2)
+    assert seen and set(seen) == {1}
+    assert openblas() == before
+
+
+def test_evaluate_pairs_rejects_a_thread_count_below_one(zero_model):
+    with pytest.raises(ValueError, match="threads must be a positive integer"):
+        evaluate_pairs(zero_model, identity_eval_pairs(1), threads=0)

@@ -469,18 +469,19 @@ def test_register_evaluate_and_validation_keep_no_graph(monkeypatch, tmp_path):
     from patchreg import cli, metrics
 
     recorded = []
-    register = models.RegistrationModel.register
+    displacement = models.RegistrationModel.displacement
 
-    def spy(self, fix, mov):
-        result = register(self, fix, mov)
-        recorded.append(result.disp_forward.data.requires_grad)
+    def spy(self, v):
+        result = displacement(self, v)
+        recorded.append(result.data.requires_grad)
         return result
 
-    monkeypatch.setattr(models.RegistrationModel, "register", spy)
+    # register computes both fields through displacement, evaluate_pairs the forward one
+    monkeypatch.setattr(models.RegistrationModel, "displacement", spy)
     model = init_model(preset("pure_mlp_desk"), head_init="random")
     pair = dataio.synth_pair(8, size=64, max_disp=3.0)
     model.register(pair.fix, pair.mov)
-    assert recorded == [True]
+    assert recorded == [True, True]
     training.evaluate_loss(model, [pair], training.TrainConfig())
     eval_pairs = [metrics.EvalPair(f"p{i}", pair.fix, pair.mov, pair.fix_mask, pair.mov_mask) for i in range(2)]
     metrics.evaluate_pairs(model, eval_pairs, threads=2)
@@ -490,4 +491,4 @@ def test_register_evaluate_and_validation_keep_no_graph(monkeypatch, tmp_path):
     argv = ["register", "--checkpoint", str(tmp_path / "model.prck"), "--fix", str(tmp_path / "fix.pgm"),
             "--mov", str(tmp_path / "mov.pgm"), "--out", str(tmp_path / "reg")]
     assert cli.main(argv) == 0
-    assert recorded == [True, False, False, False, False]
+    assert recorded == [True, True] + [False] * 6
