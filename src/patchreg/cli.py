@@ -202,8 +202,16 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, which :func:`main` prints as
+    one ``error:`` line with exit 2, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="patchreg", description=__doc__)
+    parser = _Parser(prog="patchreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a JSON config and manifest")
@@ -254,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -264,7 +271,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

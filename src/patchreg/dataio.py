@@ -13,6 +13,7 @@ paths relative to the manifest location.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,12 +152,16 @@ def load_manifest(path) -> list[PairRecord]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            rows = iter(list(reader))
+        except csv.Error as e:
+            raise ManifestError(f"{path}: line {reader.line_num}: {e}") from None
+        try:
+            header = next(rows)
         except StopIteration:
             raise ManifestError(f"{path}: empty file, expected header") from None
         if header != MANIFEST_HEADER:
             raise ManifestError(f"{path}: bad header {header}, expected {MANIFEST_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(MANIFEST_HEADER):
@@ -169,6 +174,13 @@ def load_manifest(path) -> list[PairRecord]:
             seen.add(pair_id)
             if split not in SPLITS:
                 problems.append(f"line {lineno}: unknown split '{split}'")
+                continue
+            try:
+                spacing_mm = float(spacing) if spacing else None
+            except ValueError:
+                spacing_mm = math.nan
+            if spacing_mm is not None and not 0.0 < spacing_mm < math.inf:
+                problems.append(f"line {lineno}: spacing_mm must be a positive number, got {spacing!r}")
                 continue
             paths = {"ed_image": base / ed, "es_image": base / es}
             missing = [k for k, p in paths.items() if not p.is_file()]
@@ -192,7 +204,7 @@ def load_manifest(path) -> list[PairRecord]:
                     ed_mask=mask_paths["ed_mask"],
                     es_mask=mask_paths["es_mask"],
                     split=split,
-                    spacing_mm=float(spacing) if spacing else None,
+                    spacing_mm=spacing_mm,
                 )
             )
     if problems:

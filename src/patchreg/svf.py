@@ -14,7 +14,12 @@ Conventions, fixed project wide:
   (columns), channel 1 is y displacement (rows); origin top left;
 * values are in pixels of the field's own grid;
 * all sampling clamps coordinates to the image edge, so tests exclude
-  the affected border.
+  the affected border; a NaN coordinate reads NaN, never out of range.
+
+A :func:`sample` node keeps one flat corner index and the two in-cell
+fractions per output pixel, plus the coordinates and the four corner
+values only when the displacement needs a gradient; its backward
+rebuilds the rest.
 """
 
 from __future__ import annotations
@@ -100,11 +105,18 @@ def aligned_grid(src_h: int, src_w: int, out_h: int, out_w: int, dtype=np.float6
     return identity_grid(out_h, out_w, dtype) * np.array([sx, sy], dtype=dtype).reshape(2, 1, 1)
 
 
-def _cell(coord: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Lower cell index and in-cell fraction of clamp-to-edge coordinates on an axis of length n."""
-    clamped = np.clip(coord, 0.0, n - 1.0)
-    lo = np.clip(np.floor(clamped).astype(np.intp), 0, max(n - 2, 0))
-    return lo, (clamped - lo).astype(dtype)
+def _cell(coord: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower cell index and in-cell fraction, in ``coord``'s dtype, of
+    clamp-to-edge coordinates on an axis of length n. The last cell is
+    [n-2, n-1], so a coordinate at n-1 has fraction 1. A NaN coordinate
+    keeps a NaN fraction and gets cell 0."""
+    frac = np.maximum(coord, 0.0)
+    np.minimum(frac, n - 1.0, out=frac)
+    lo = np.floor(frac)
+    np.fmax(lo, 0.0, out=lo)  # a NaN cell becomes 0, so the index cast never sees a NaN
+    np.minimum(lo, max(n - 2, 0), out=lo)
+    np.subtract(frac, lo, out=frac)  # exact: the clamped coordinate minus its cell
+    return lo.astype(np.intp), frac
 
 
 def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
@@ -114,7 +126,15 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
     y); ``disp``, when given, is a [2, H, W] tensor of pixel offsets added
     to it. Output is [c, H, W]. Gradients are computed for ``img`` and
     ``disp`` unless they are constants (an ``img`` that is not a Tensor is
-    one); ``disp``'s gradient is zero where a coordinate is clamped.
+    one); ``disp``'s gradient is zero where a coordinate is clamped. A NaN
+    coordinate reads cell 0 with a NaN weight, so its output is NaN.
+
+    The four corners are gathered from ``img`` flattened to [c, h*w] at
+    one flat index ``i00`` plus the offsets 1 (next column) and w (next
+    row), which are 0 on an axis of length 1. The node keeps ``i00`` and
+    the fractions; its backward rebuilds the weights and corner indices.
+    When ``disp`` needs a gradient it also keeps the coordinates (for the
+    clamp masks) and the four corner values.
     """
     img = as_tensor(img)
     im = img.data
@@ -122,33 +142,50 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
     x, y = grid
     if disp is not None:
         x, y = x + disp.data[0], y + disp.data[1]
-        inside_x = (x > 0.0) & (x < w - 1.0)
-        inside_y = (y > 0.0) & (y < h - 1.0)
-    x0, fx = _cell(x, w, im.dtype)
-    y0, fy = _cell(y, h, im.dtype)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    data = (
-        (1 - fy) * (1 - fx) * im[:, y0, x0]
-        + (1 - fy) * fx * im[:, y0, x1]
-        + fy * (1 - fx) * im[:, y1, x0]
-        + fy * fx * im[:, y1, x1]
-    )
+    x0, fx = _cell(x, w)
+    y0, fy = _cell(y, h)
+    fx, fy = fx.astype(im.dtype, copy=False), fy.astype(im.dtype, copy=False)
+    dx, dy = int(w > 1), w if h > 1 else 0
+    i00 = y0 * w + x0
+    flat = im.reshape(c, h * w)
+    offsets = (0, dx, dy, dx + dy)
+    corners = None
+    if disp is not None and disp.requires_grad:
+        corners = [np.take(flat, i00 + off, axis=1) for off in offsets]
+    else:
+        x = y = None
+
+    def corner(k):
+        """Corner k's values, gathered when needed unless the node keeps them."""
+        return np.take(flat, i00 + offsets[k], axis=1) if corners is None else corners[k]
+
+    gx, gy = 1 - fx, 1 - fy
+    data = gy * gx * corner(0)
+    data += gy * fx * corner(1)
+    data += fy * gx * corner(2)
+    data += fy * fx * corner(3)
 
     def backward_fn(g):
         gi = gd = None
+        gx, gy = 1 - fx, 1 - fy
         if img.requires_grad:
-            corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])[:, None]
-            weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])[:, None]
-            flat = corners + (h * w) * np.arange(c).reshape(c, 1, 1)
-            gi = np.bincount(flat.ravel(), (weights * g).ravel(), minlength=c * h * w)
+            # one bincount over (corner, channel, pixel), the order that fixes its float sums
+            index = np.empty((4, c, i00.size), np.intp)
+            np.add(i00.reshape(1, -1), (h * w) * np.arange(c).reshape(c, 1), out=index[0])
+            for off, out in zip(offsets[1:], index[1:]):
+                np.add(index[0], off, out=out)
+            weight = np.empty((4,) + g.shape, np.result_type(fx, g))
+            for wk, out in zip((gy * gx, gy * fx, fy * gx, fy * fx), weight):
+                np.multiply(wk, g, out=out)
+            gi = np.bincount(index.ravel(), weight.ravel(), minlength=c * h * w)
             gi = gi.reshape(c, h, w).astype(im.dtype)
-        if disp is not None and disp.requires_grad:
-            i00, i10 = im[:, y0, x0], im[:, y0, x1]
-            i01, i11 = im[:, y1, x0], im[:, y1, x1]
-            ddx = ((1 - fy) * (i10 - i00) + fy * (i11 - i01)) * g
-            ddy = ((1 - fx) * (i01 - i00) + fx * (i11 - i10)) * g
-            gd = np.stack([ddx.sum(axis=0) * inside_x, ddy.sum(axis=0) * inside_y]).astype(disp.dtype)
+        if corners is not None:
+            v00, v01, v10, v11 = corners
+            ddx = (gy * (v01 - v00) + fy * (v11 - v10)) * g
+            ddy = (gx * (v10 - v00) + fx * (v11 - v01)) * g
+            gd = np.empty((2,) + i00.shape, disp.dtype)
+            np.multiply(ddx.sum(axis=0), (x > 0.0) & (x < w - 1.0), out=gd[0])
+            np.multiply(ddy.sum(axis=0), (y > 0.0) & (y < h - 1.0), out=gd[1])
         return gi, gd
 
     return _node(data, (img,) if disp is None else (img, disp), backward_fn)

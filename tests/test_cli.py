@@ -130,6 +130,14 @@ def test_train_missing_manifest_exit_2(tmp_path, capsys):
     assert "manifest.csv" in capsys.readouterr().err
 
 
+def run_cli(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
 def assert_one_line_error(rc: int, err: str, code: int) -> None:
     assert rc == code
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -144,10 +152,7 @@ def train_with_config(directory, config) -> tuple[int, str]:
     """Run ``patchreg train`` on ``config`` written as JSON; return exit code, stderr."""
     path = directory / "config.json"
     path.write_text(json.dumps(config))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = main(["train", "--config", str(path), "--out", str(directory / "out")])
-    return rc, err.getvalue()
+    return run_cli(["train", "--config", str(path), "--out", str(directory / "out")])
 
 
 # the synth_dir manifest, relative to the config file: with it only the
@@ -324,14 +329,11 @@ def register_with_checkpoint(directory, tail: bytes) -> tuple[int, str]:
     """Run ``patchreg register`` on checkpoint ``PRCK`` + ``tail``; return exit code, stderr."""
     ckpt = directory / "bad.prck"
     ckpt.write_bytes(b"PRCK" + tail)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = main([
-            "register", "--checkpoint", str(ckpt),
-            "--fix", str(directory / "fix.pgm"), "--mov", str(directory / "mov.pgm"),
-            "--out", str(directory / "reg"),
-        ])
-    return rc, err.getvalue()
+    return run_cli([
+        "register", "--checkpoint", str(ckpt),
+        "--fix", str(directory / "fix.pgm"), "--mov", str(directory / "mov.pgm"),
+        "--out", str(directory / "reg"),
+    ])
 
 
 @pytest.mark.parametrize(
@@ -366,6 +368,100 @@ _json_values = st.recursive(
 @settings(max_examples=60, deadline=None)
 def test_register_fuzzed_checkpoint_exit_3(fuzz_dir, tail):
     assert_one_line_error(*register_with_checkpoint(fuzz_dir, tail), 3)
+
+
+# ---------------------------------------------------------------------------
+# PGM and manifest fuzz: a malformed or unusual image or manifest ends in
+# exit 0 with nothing on stderr, or in exit 2 or 3 with one error line
+
+
+def assert_clean_exit(rc: int, err: str) -> None:
+    assert rc in (0, 2, 3), (rc, err)
+    if rc == 0:
+        assert err == "", err
+    else:
+        assert_one_line_error(rc, err, rc)
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    """A desk checkpoint and one 64x64 pair with masks."""
+    out = tmp_path_factory.mktemp("io")
+    desk_checkpoint(out, "desk.prck")
+    pair = dataio.synth_pair(7, size=64, max_disp=2.0)
+    dataio.write_pgm(pair.fix, out / "ed.pgm")
+    dataio.write_pgm(pair.mov, out / "es.pgm")
+    dataio.write_mask(pair.fix_mask, out / "ed_mask.pgm")
+    dataio.write_mask(pair.mov_mask, out / "es_mask.pgm")
+    return out
+
+
+def register_fixed_image(directory, data: bytes) -> tuple[int, str]:
+    """Run ``patchreg register`` with ``data`` as the fixed image file."""
+    (directory / "fuzz.pgm").write_bytes(data)
+    return run_cli([
+        "register", "--checkpoint", str(directory / "desk.prck"),
+        "--fix", str(directory / "fuzz.pgm"), "--mov", str(directory / "es.pgm"),
+        "--out", str(directory / "reg"),
+    ])
+
+
+def pgm(width, height, maxval=255, payload=None, header=None) -> bytes:
+    """A P5 file; the payload defaults to a ramp of the right length."""
+    if payload is None:
+        n = width * height * (2 if maxval > 255 else 1)
+        payload = bytes(i * 37 % 256 for i in range(n))
+    return (header or f"P5\n{width} {height}\n{maxval}\n".encode()) + payload
+
+
+_PGM = pgm(5, 4, header=b"P5\n# comment\n5 4\n255\n")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pgm(1, 1),
+        pgm(1, 9),
+        pgm(9, 1),
+        pgm(2, 2),
+        pgm(3, 5, maxval=65535),
+        pgm(7, 3, maxval=1),
+        pgm(5, 4, payload=bytes(20) + b"trailing bytes"),
+        pgm(4, 4, header=b"P5\r4\t4 # one\n# two\n255\n"),
+        pgm(150, 90),
+    ],
+    ids=["1x1", "1x9", "9x1", "2x2", "16-bit", "maxval-1", "trailing", "odd-whitespace", "150x90"],
+)
+def test_register_edge_case_pgm_exit_0(io_dir, data):
+    rc, err = register_fixed_image(io_dir, data)
+    assert (rc, err) == (0, "")
+    assert (io_dir / "reg" / "warped.pgm").is_file()
+
+
+_pgm_bytes = st.one_of(
+    st.integers(0, len(_PGM) - 1).map(lambda n: _PGM[:n]),
+    st.tuples(st.integers(0, len(_PGM) - 1), st.integers(0, 255)).map(
+        lambda t: _PGM[: t[0]] + bytes([t[1]]) + _PGM[t[0] + 1 :]
+    ),
+    st.tuples(st.integers(0, len(_PGM)), st.binary(min_size=1, max_size=4)).map(
+        lambda t: _PGM[: t[0]] + t[1] + _PGM[t[0] :]
+    ),
+    st.builds(
+        lambda magic, w, h, maxval, payload: b"%s\n%s %s\n%s\n" % (magic, w, h, maxval) + payload,
+        st.sampled_from([b"P5", b"P2", b"P6", b"", b"p5"]),
+        st.integers(-1, 6).map(str).map(str.encode) | st.sampled_from([b"x", b"1e3", b"99999999999"]),
+        st.integers(-1, 6).map(str).map(str.encode),
+        st.sampled_from([b"0", b"1", b"255", b"256", b"65535", b"65536", b"-3", b"2.5"]),
+        st.binary(max_size=80),
+    ),
+    st.binary(max_size=40),
+)
+
+
+@given(_pgm_bytes)
+@settings(max_examples=80, deadline=None)
+def test_register_fuzzed_pgm_exits_cleanly(io_dir, data):
+    assert_clean_exit(*register_fixed_image(io_dir, data))
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +536,16 @@ def test_evaluate_malformed_thread_count_exit_2(tmp_path, monkeypatch, threads):
     manifest = make_eval_manifest(tmp_path, n=1)
     ckpt = desk_checkpoint(tmp_path)
     monkeypatch.setenv("PATCHREG_THREADS", threads)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = main(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest),
-                   "--split", "test", "--out", str(tmp_path / "r")])
-    assert_one_line_error(rc, err.getvalue(), 2)
+    assert_one_line_error(*run_cli(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                                    "--split", "test", "--out", str(tmp_path / "r")]), 2)
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_evaluate_thread_flag_below_one_exit_2_before_loading(tmp_path, threads):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = main(["evaluate", "--checkpoint", str(tmp_path / "absent.prck"), "--manifest",
-                   str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r"), "--threads", threads])
-    assert_one_line_error(rc, err.getvalue(), 2)
-    assert err.getvalue() == f"error: --threads must be a positive integer, got {threads}\n"
+    rc, err = run_cli(["evaluate", "--checkpoint", str(tmp_path / "absent.prck"), "--manifest",
+                       str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r"), "--threads", threads])
+    assert_one_line_error(rc, err, 2)
+    assert err == f"error: --threads must be a positive integer, got {threads}\n"
 
 
 def test_evaluate_empty_split_exit_2(tmp_path):
@@ -463,6 +554,108 @@ def test_evaluate_empty_split_exit_2(tmp_path):
     rc = main(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest),
                "--split", "val", "--out", str(tmp_path / "r")])
     assert rc == 2
+
+
+_MANIFEST = (
+    ",".join(dataio.MANIFEST_HEADER) + "\n"
+    + "p0,ed.pgm,es.pgm,ed_mask.pgm,es_mask.pgm,test,0.5\n"
+    + "p1,es.pgm,ed.pgm,,,test,\n"
+).encode()
+
+
+def evaluate_manifest(directory, data: bytes) -> tuple[int, str]:
+    """Run ``patchreg evaluate`` on the test split of manifest ``data``."""
+    (directory / "fuzz.csv").write_bytes(data)
+    return run_cli([
+        "evaluate", "--checkpoint", str(directory / "desk.prck"),
+        "--manifest", str(directory / "fuzz.csv"), "--split", "test",
+        "--out", str(directory / "report"), "--threads", "1",
+    ])
+
+
+def test_evaluate_fuzz_manifest_base_is_valid(io_dir):
+    assert evaluate_manifest(io_dir, _MANIFEST) == (0, "")
+
+
+def _with_row(row: str) -> bytes:
+    return _MANIFEST + row.encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        _MANIFEST.splitlines(keepends=True)[0],
+        b"\xef\xbb\xbf" + _MANIFEST,
+        _MANIFEST.replace(b"\n", b"\r\n").replace(b"p1,", b"p1,\"", 1),
+        _with_row("p2," + "x" * 200_000 + ",es.pgm,,,test,"),
+        _with_row("p2," + "x" * 300 + ".pgm,es.pgm,,,test,"),
+        _with_row("p2,ed.pgm\0,es.pgm,,,test,"),
+        _MANIFEST + b"p2,\xff.pgm,es.pgm,,,test,\n",
+        _with_row("p2,ed.pgm,es.pgm,,,test,nan"),
+        _with_row("p2,ed.pgm,es.pgm,,,test,inf"),
+        _with_row("p2,ed.pgm,es.pgm,,,test,-1"),
+        _with_row("p2,ed.pgm,es.pgm,,,test,0"),
+        _with_row("p2,ed.pgm,es.pgm,,,test,1mm"),
+        _with_row("p2,fuzz.csv,es.pgm,,,test,"),
+        _with_row("p2,.,es.pgm,,,test,"),
+        _with_row("p0,ed.pgm,es.pgm,,,test,"),
+    ],
+    ids=["empty", "header-only", "bom", "unclosed-quote", "huge-field", "long-name", "nul",
+         "bad-utf8", "spacing-nan", "spacing-inf", "spacing-negative", "spacing-zero",
+         "spacing-unit", "manifest-as-image", "directory", "duplicate-id"],
+)
+def test_evaluate_malformed_manifest_exit_2(io_dir, data):
+    assert_one_line_error(*evaluate_manifest(io_dir, data), 2)
+
+
+def _replace_field(row: int, col: int, value: str) -> bytes:
+    rows = [line.split(",") for line in _MANIFEST.decode().splitlines()]
+    rows[row][col] = value
+    return ("\n".join(",".join(r) for r in rows) + "\n").encode()
+
+
+_manifest_bytes = st.one_of(
+    st.builds(
+        _replace_field,
+        st.integers(0, 2),
+        st.integers(0, 6),
+        st.text(max_size=12)
+        | st.sampled_from(["ed.pgm", "es_mask.pgm", "fuzz.csv", "val", "0.25", "1e-300", "p1", ""]),
+    ),
+    st.integers(0, len(_MANIFEST) - 1).map(lambda n: _MANIFEST[:n]),
+    st.tuples(st.integers(0, len(_MANIFEST) - 1), st.integers(0, 255)).map(
+        lambda t: _MANIFEST[: t[0]] + bytes([t[1]]) + _MANIFEST[t[0] + 1 :]
+    ),
+    st.binary(max_size=60),
+)
+
+
+@given(_manifest_bytes)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_fuzzed_manifest_exits_cleanly(io_dir, data):
+    assert_clean_exit(*evaluate_manifest(io_dir, data))
+
+
+# ---------------------------------------------------------------------------
+# argument errors
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["evaluate", "--checkpoint", "c", "--manifest", "m", "--out", "o", "--threads", "abc"],
+         "--threads"),
+        (["register", "--checkpoint", "c", "--fix", "f.pgm", "--out", "o"], "--mov"),
+        (["align", "--fix", "f.pgm"], "align"),
+    ],
+    ids=["bad-int", "missing-flag", "unknown-subcommand"],
+)
+def test_usage_error_is_one_line_exit_2(capsys, argv, names):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert_one_line_error(rc, captured.err, 2)
+    assert names in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchreg.gradcore import DimensionError, Tensor, backward, sum_all, mul
+from patchreg.gradcore import DimensionError, Tensor, as_tensor, backward, sum_all, mul
 from patchreg.svf import (
     DISPLACEMENT,
     VELOCITY,
     FieldKindError,
     VectorField,
+    aligned_grid,
     compose_displacements,
     identity_grid,
     integrate_svf,
@@ -294,6 +295,120 @@ def test_sample_gradients_vanish_where_coordinates_clamp():
     assert np.all(disp.grad[1][clamped_y] == 0.0)
     assert np.allclose(disp.grad, central_differences(build, disp), rtol=1e-5, atol=1e-8)
     assert np.allclose(img.grad, central_differences(build, img), rtol=1e-6, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# sample against the clip-and-fancy-index formula it replaced (bit-exact oracle)
+
+
+def oracle_sample(im, grid, disp, g):
+    """Output, image gradient and disp gradient for upstream ``g``, by the
+    earlier formula: np.clip cells, 2-index gathers, stacked weights."""
+    c, h, w = im.shape
+    x, y = grid
+    if disp is not None:
+        x, y = x + disp[0], y + disp[1]
+        inside_x = (x > 0.0) & (x < w - 1.0)
+        inside_y = (y > 0.0) & (y < h - 1.0)
+
+    def cell(coord, n):
+        clamped = np.clip(coord, 0.0, n - 1.0)
+        with np.errstate(invalid="ignore"):  # a NaN coordinate casts to the lowest intp
+            lo = np.clip(np.floor(clamped).astype(np.intp), 0, max(n - 2, 0))
+        return lo, (clamped - lo).astype(im.dtype)
+
+    x0, fx = cell(x, w)
+    y0, fy = cell(y, h)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    data = (
+        (1 - fy) * (1 - fx) * im[:, y0, x0]
+        + (1 - fy) * fx * im[:, y0, x1]
+        + fy * (1 - fx) * im[:, y1, x0]
+        + fy * fx * im[:, y1, x1]
+    )
+    corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])[:, None]
+    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])[:, None]
+    flat = corners + (h * w) * np.arange(c).reshape(c, 1, 1)
+    gi = np.bincount(flat.ravel(), (weights * g).ravel(), minlength=c * h * w)
+    gi = gi.reshape(c, h, w).astype(im.dtype)
+    gd = None
+    if disp is not None:
+        i00, i10 = im[:, y0, x0], im[:, y0, x1]
+        i01, i11 = im[:, y1, x0], im[:, y1, x1]
+        ddx = ((1 - fy) * (i10 - i00) + fy * (i11 - i01)) * g
+        ddy = ((1 - fx) * (i01 - i00) + fx * (i11 - i10)) * g
+        gd = np.stack([ddx.sum(axis=0) * inside_x, ddy.sum(axis=0) * inside_y]).astype(disp.dtype)
+    return data, gi, gd
+
+
+def edge_grid(h, w, dtype):
+    """Coordinates on 0 and n-1, just inside them, and beyond both."""
+    xs = np.array([-2.5, -1.0, 0.0, 0.25, w - 2.0, w - 1.0, w - 0.75, w + 3.0])
+    ys = np.array([-4.0, 0.0, 0.5, h - 1.5, h - 1.0, h + 0.5])
+    gy, gx = np.meshgrid(ys, xs, indexing="ij")
+    return np.stack([gx, gy]).astype(dtype)
+
+
+def sampler_case(name, dtype, rng):
+    """(image shape, grid, disp or None) for one case of the oracle test."""
+    if name == "identity":
+        return (9, 11), identity_grid(9, 11, dtype), rng.uniform(-3.0, 3.0, size=(2, 9, 11))
+    if name == "upsample":
+        return (5, 6), aligned_grid(5, 6, 13, 17, dtype), rng.uniform(-1.0, 1.0, size=(2, 13, 17))
+    if name == "downsample":
+        return (12, 10), aligned_grid(12, 10, 5, 4, dtype), None
+    if name == "edges":
+        return (6, 7), edge_grid(6, 7, dtype), None
+    if name == "onto_edges":
+        # the displaced coordinate lands exactly on 0 and n-1
+        grid = identity_grid(5, 6, dtype)
+        disp = np.zeros((2, 5, 6))
+        disp[0, :, 1], disp[0, :, 2], disp[1, 3] = -1.0, 3.0, 1.0
+        return (5, 6), grid, disp
+    if name == "h1":
+        return (1, 7), edge_grid(1, 7, dtype), rng.uniform(-0.5, 0.5, size=(2, 6, 8))
+    if name == "w1":
+        return (6, 1), edge_grid(6, 1, dtype), None
+    if name == "nan":
+        grid = identity_grid(4, 5, dtype).copy()
+        grid[0, 1, 2] = grid[1, 2, 3] = np.nan
+        return (4, 5), grid, rng.uniform(-0.5, 0.5, size=(2, 4, 5))
+    if name == "f64_grid":
+        return (7, 9), aligned_grid(7, 9, 10, 12, np.float64), rng.uniform(-1.0, 1.0, size=(2, 10, 12))
+    raise KeyError(name)
+
+
+SAMPLER_CASES = ["identity", "upsample", "downsample", "edges", "onto_edges", "h1", "w1", "nan", "f64_grid"]
+
+
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sample_is_bit_identical_to_oracle(name, c, dtype):
+    rng = np.random.default_rng(17)
+    (h, w), grid, disp = sampler_case(name, dtype, rng)
+    im = rng.normal(size=(c, h, w)).astype(dtype)
+    g = rng.normal(size=(c,) + grid.shape[1:]).astype(dtype)
+    if disp is not None:
+        disp = disp.astype(grid.dtype)
+    ref_out, ref_gi, ref_gd = oracle_sample(im, grid, disp, g)
+
+    out = sample(Tensor(im.copy()), grid, None if disp is None else Tensor(disp.copy()))
+    gi, gd = out._backward(g)
+    for label, got, ref in (("out", out.data, ref_out), ("img grad", gi, ref_gi), ("disp grad", gd, ref_gd)):
+        if ref is None:
+            assert got is None, label
+        else:
+            assert got.dtype == ref.dtype and got.shape == ref.shape, label
+            assert got.tobytes() == ref.tobytes(), label
+    if name == "nan":
+        bad = np.isnan(grid).any(axis=0)
+        assert np.isnan(out.data[:, bad]).all() and not np.isnan(out.data[:, ~bad]).any()
+    # a constant disp keeps no disp gradient, and the image gradient is unchanged
+    if disp is not None:
+        gi_const, gd_const = sample(Tensor(im.copy()), grid, as_tensor(disp))._backward(g)
+        assert gd_const is None and gi_const.tobytes() == ref_gi.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,6 @@ def test_swin_pair_step_graph_peak_is_bounded():
     assert peak < 350 * 2**20, f"{peak / 2**20:.0f} MB"
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 def test_training_aborts_on_non_finite_loss():
     pair = desk_pair()
     bad = ImagePair("poisoned", pair.fix.copy(), pair.mov.copy())
