@@ -164,6 +164,8 @@ class WindowPartition:
     the additive attention mask [n_windows, window**2, window**2]: 0
     where both tokens come from the same rolled region, -inf across the
     region boundaries the roll introduces. Unshifted, ``mask`` is None.
+    The windows of :meth:`split` and ``mask`` are the operands of
+    :func:`~patchreg.gradcore.window_attention` as they are.
     """
 
     def __init__(self, grid_h: int, grid_w: int, window: int, shifted: bool):
@@ -211,10 +213,12 @@ class SwinCrossBlock:
     partitions of both maps and once with the query map partitioned after
     a half-window cyclic roll (masked across rolled-in boundaries) while
     keys keep the normal partition. Each pass is one fused
-    :func:`~patchreg.gradcore.window_attention` call with the shared
-    relative-position bias. The two outputs are summed, projected,
-    skip-connected to the fixed features, and passed through a residual
-    per-token MLP. The block is built for one grid and rejects others.
+    :func:`~patchreg.gradcore.window_attention` call on the partition's
+    windows with the shared relative-position bias ``[t, t, heads]``;
+    the op splits the heads, so the block never handles them. The two
+    outputs are summed, projected, skip-connected to the fixed features,
+    and passed through a residual per-token MLP. The block is built for
+    one grid and rejects others.
     """
 
     def __init__(
@@ -238,10 +242,9 @@ class SwinCrossBlock:
         self.dim = dim
         self.window = window
         self.heads = heads
-        self.head_dim = dim // heads
         self.grid_h = grid_h
         self.grid_w = grid_w
-        self.scale = 1.0 / math.sqrt(self.head_dim)
+        self.scale = 1.0 / math.sqrt(dim // heads)
         self.norm_fix_g = pset.add(f"{prefix}.norm_fix.g", (dim,), init="ones")
         self.norm_fix_b = pset.add(f"{prefix}.norm_fix.b", (dim,), init="zeros")
         self.norm_mov_g = pset.add(f"{prefix}.norm_mov.g", (dim,), init="ones")
@@ -260,29 +263,14 @@ class SwinCrossBlock:
         self._rel_index = relative_position_index(window)
         self.mlp = Mlp(pset, f"{prefix}.mlp", dim, hidden_ratio * dim)
 
-    def _heads_split(self, tokens: Tensor, layout: WindowPartition) -> Tensor:
-        """Row-major tokens -> [n_windows, heads, window**2, head_dim]."""
-        windows = layout.split(tokens)
-        t = reshape(windows, windows.shape[:2] + (self.heads, self.head_dim))
-        return transpose(t, (0, 2, 1, 3))
-
-    def _heads_merge(self, t: Tensor, layout: WindowPartition) -> Tensor:
-        n_win, _, wsq, _ = t.shape
-        out = reshape(transpose(t, (0, 2, 1, 3)), (n_win, wsq, self.dim))
-        return layout.merge(out)
-
     def _bias(self) -> Tensor:
         wsq = self.window * self.window
-        b = gather_rows(self.bias_table, self._rel_index)
-        b = reshape(b, (wsq, wsq, self.heads))
-        return transpose(b, (2, 0, 1))
+        return reshape(gather_rows(self.bias_table, self._rel_index), (wsq, wsq, self.heads))
 
     def _attend(self, q: Tensor, k: Tensor, v: Tensor, bias: Tensor, layout: WindowPartition):
-        """One pass: queries split by ``layout`` against the normal-layout
-        keys and values (head-split)."""
-        mask = None if layout.mask is None else layout.mask[:, None]
-        out = window_attention(self._heads_split(q, layout), k, v, bias, mask, self.scale)
-        return self._heads_merge(out, layout)
+        """One pass: row-major queries split by ``layout`` against the
+        normal-layout key and value windows, merged back to row-major."""
+        return layout.merge(window_attention(layout.split(q), k, v, bias, layout.mask, self.scale))
 
     def __call__(self, fix: TokenMap, mov: TokenMap) -> TokenMap:
         built = (self.grid_h, self.grid_w, self.dim)
@@ -293,8 +281,8 @@ class SwinCrossBlock:
             )
         nk = layer_norm(fix.data, self.norm_fix_g, self.norm_fix_b)
         nq = layer_norm(mov.data, self.norm_mov_g, self.norm_mov_b)
-        k = self._heads_split(linear(nk, self.wk, self.bk), self.normal)
-        v = self._heads_split(linear(nk, self.wv, self.bv), self.normal)
+        k = self.normal.split(linear(nk, self.wk, self.bk))
+        v = self.normal.split(linear(nk, self.wv, self.bv))
         q = linear(nq, self.wq, self.bq)
         bias = self._bias()
         summed = add(

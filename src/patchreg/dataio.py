@@ -28,6 +28,7 @@ from .svf import (
     integrate_svf,
     random_smooth_velocity,
     sample,
+    sample_nearest,
     warp_image,
     write_field,
 )
@@ -226,14 +227,11 @@ def resize_image(img: np.ndarray, size: int) -> np.ndarray:
 
 
 def resize_mask(mask: np.ndarray, size: int) -> np.ndarray:
-    """Nearest-neighbor resize for label masks."""
+    """Nearest-neighbor resize for label masks, read at the corner-aligned
+    grid that :func:`resize_image` samples bilinearly."""
     mask = np.asarray(mask)
     h, w = mask.shape
-    if (h, w) == (size, size):
-        return mask.copy()
-    ys = np.rint(np.arange(size) * ((h - 1) / (size - 1) if size > 1 else 0.0)).astype(np.intp)
-    xs = np.rint(np.arange(size) * ((w - 1) / (size - 1) if size > 1 else 0.0)).astype(np.intp)
-    return mask[np.ix_(ys, xs)]
+    return sample_nearest(mask, aligned_grid(h, w, size, size))
 
 
 # ---------------------------------------------------------------------------

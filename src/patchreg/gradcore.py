@@ -20,12 +20,12 @@ parameter grads between steps.
 
 Besides the elementary kernels there are two fused kernels.
 :func:`window_attention` is the windowed attention of the swin family:
-``softmax(scale * q @ kᵀ + bias + mask) @ v`` on ``[n_windows, heads,
-t, head_dim]`` windows. The scale is folded into ``q`` before the
-product, so the ``[n_windows, heads, t, t]`` logits live in one buffer
-that bias, mask and softmax update in place; the node keeps the scaled
-``q``, ``k``, ``v`` and the probabilities. The mask may hold ``-inf``
-as long as every row of every window keeps at least one finite logit.
+``softmax(scale * q @ kᵀ + bias + mask) @ v`` on ``[n_windows, t, d]``
+windows, with the heads split inside as views. The scale is folded into
+``q`` before the product, so the ``[n_windows, heads, t, t]`` logits
+live in one buffer that bias, mask and softmax update in place; the node
+keeps the scaled ``q``, ``k``, ``v`` and the probabilities. The mask may
+hold ``-inf`` as long as every row of every window keeps a finite logit.
 :func:`mlp_branch` is the pre-norm MLP sub-layer every block ends in,
 ``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2``, with the arithmetic of
 that chain in the same order, so it is bit-identical to it. With a graph
@@ -474,10 +474,12 @@ def softmax(x: Tensor) -> Tensor:
 def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale: float) -> Tensor:
     """Attention inside windows: ``softmax(scale * q @ kᵀ + bias + mask) @ v``.
 
-    ``q``, ``k`` and ``v`` are ``[n_windows, heads, t, head_dim]``; ``k``
-    is passed untransposed. ``bias`` is ``[heads, t, t]``, learnable and
-    shared by every window. ``mask`` is None or a constant
-    ``[n_windows, 1, t, t]`` added after the bias; its entries may be
+    ``q``, ``k``, ``v`` and the output are ``[n_windows, t, d]``; ``k`` is
+    passed untransposed. ``bias`` is ``[t, t, heads]``, learnable and
+    shared by every window; its last axis is the head count, which must
+    divide ``d``, and each operand is viewed as ``[n_windows, heads, t,
+    d // heads]``. ``mask`` is None or a constant ``[n_windows, t, t]``
+    shared by the heads and added after the bias; its entries may be
     ``-inf``, but every row of every window must keep at least one
     finite logit, or that row's softmax is NaN.
 
@@ -485,44 +487,53 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale:
     once into one buffer; bias, mask, the max-subtracted softmax and its
     normalisation all update that buffer in place. The node keeps the
     scaled ``q``, ``k``, ``v`` and the probabilities. The backward
-    returns the gradients of ``q``, ``k``, ``v`` and ``bias``; the bias
-    gradient is the logits gradient summed over the window axis.
+    returns the gradients of ``q``, ``k``, ``v`` and ``bias`` in their
+    input shapes; the bias gradient is the logits gradient summed over
+    the window axis.
     """
     q, k, v, bias = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(bias)
-    if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
-            f"window_attention: q, k, v must share one [n_windows, heads, t, head_dim] shape, "
+            f"window_attention: q, k, v must share one [n_windows, t, d] shape, "
             f"got {q.shape}, {k.shape}, {v.shape}"
         )
-    n, heads, t, _ = q.shape
-    if bias.shape != (heads, t, t):
-        raise DimensionError(f"window_attention: bias {bias.shape} is not {(heads, t, t)}")
+    n, t, d = q.shape
+    heads = bias.shape[-1] if bias.ndim else 0
+    if bias.shape != (t, t, heads) or heads == 0 or d % heads:
+        raise DimensionError(f"window_attention: bias {bias.shape} is not [{t}, {t}, heads dividing {d}]")
     if mask is not None:
         mask = np.asarray(mask, dtype=q.dtype)
-        if mask.shape != (n, 1, t, t):
-            raise DimensionError(f"window_attention: mask {mask.shape} is not {(n, 1, t, t)}")
+        if mask.shape != (n, t, t):
+            raise DimensionError(f"window_attention: mask {mask.shape} is not {(n, t, t)}")
+    split = (n, t, heads, d // heads)
     scale = q.dtype.type(scale)
-    qs = q.data * scale
-    kd, vd = k.data, v.data
+    qs, kd, vd = (a.data.reshape(split).transpose(0, 2, 1, 3) for a in (q, k, v))
+    qs = qs * scale
     p = qs @ kd.swapaxes(-1, -2)
-    p += bias.data
+    p += bias.data.transpose(2, 0, 1)
     if mask is not None:
-        p += mask
+        p += mask[:, None]
     p -= np.fmax.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
+    def merged(a, b):
+        """``a @ b`` on split heads, written straight into [n, t, d] rows."""
+        out = np.empty((n, t, d), np.result_type(a, b))
+        np.matmul(a, b, out=out.reshape(split).transpose(0, 2, 1, 3))
+        return out
+
     def backward_fn(g):
-        gv = p.swapaxes(-1, -2) @ g
+        g = g.reshape(split).transpose(0, 2, 1, 3)
+        gv = merged(p.swapaxes(-1, -2), g)
         gs = g @ vd.swapaxes(-1, -2)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
-        gq = gs @ kd
+        gq = merged(gs, kd)
         gq *= scale
-        gk = gs.swapaxes(-1, -2) @ qs
-        return gq, gk, gv, gs.sum(axis=0)
+        return gq, merged(gs.swapaxes(-1, -2), qs), gv, gs.sum(axis=0).transpose(1, 2, 0)
 
-    return _node(p @ vd, (q, k, v, bias), backward_fn)
+    return _node(merged(p, vd), (q, k, v, bias), backward_fn)
 
 
 # Hidden values per row block when mlp_branch keeps no graph. Each
@@ -732,9 +743,6 @@ class ParamSet:
 
     def __len__(self) -> int:
         return len(self._params)
-
-    def n_values(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def zero_grads(self) -> None:
         for t in self._params.values():

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .gradcore import DimensionError, no_grad
-from .svf import VectorField, identity_grid, jacobian_determinant
+from .svf import VectorField, identity_grid, jacobian_determinant, sample_nearest
 
 LABEL_NAMES = {1: "lv_endo", 2: "myocardium", 3: "left_atrium"}
 MYOCARDIUM = 2
@@ -42,11 +42,7 @@ def warp_mask(mask: np.ndarray, disp: VectorField) -> np.ndarray:
     h, w = mask.shape
     if (h, w) != (disp.height, disp.width):
         raise DimensionError(f"mask {mask.shape} and field {(disp.height, disp.width)} differ")
-    grid = identity_grid(h, w)
-    u = disp.array
-    xi = np.clip(np.rint(grid[0] + u[0]).astype(np.intp), 0, w - 1)
-    yi = np.clip(np.rint(grid[1] + u[1]).astype(np.intp), 0, h - 1)
-    return mask[yi, xi]
+    return sample_nearest(mask, identity_grid(h, w) + disp.array)
 
 
 def dice(a: np.ndarray, b: np.ndarray, label: int) -> float:

@@ -6,7 +6,7 @@ can be resampled between grids with the value rescaling that keeps units
 consistent. Every bilinear read in the package (warp, compose, resample,
 image resize, augmentation crop and rotation) goes through one kernel,
 :func:`sample`, at absolute coordinates built from :func:`identity_grid`
-or :func:`aligned_grid`.
+or :func:`aligned_grid`; :func:`sample_nearest` reads label masks at such grids.
 
 Conventions, fixed project wide:
 
@@ -189,6 +189,15 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
         return gi, gd
 
     return _node(data, (img,) if disp is None else (img, disp), backward_fn)
+
+
+def sample_nearest(labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Clamp-to-edge nearest-neighbour read of ``labels`` [h, w] at the
+    absolute coordinates ``grid`` [2, H, W]; labels are never blended."""
+    h, w = labels.shape
+    xi = np.clip(np.rint(grid[0]).astype(np.intp), 0, w - 1)
+    yi = np.clip(np.rint(grid[1]).astype(np.intp), 0, h - 1)
+    return labels[yi, xi]
 
 
 def warp_image(img, disp: VectorField) -> Tensor:

@@ -401,6 +401,93 @@ def test_swin_block_rejects_wrong_grid():
                 block(fix, mov)
 
 
+def head_layout_attention(q, k, v, bias, mask, scale):
+    """Reference for window_attention with the heads split outside it:
+    q, k, v [n_windows, heads, t, head_dim], bias [heads, t, t], mask
+    None or [n_windows, 1, t, t]; the arithmetic in the same order."""
+    scale = q.dtype.type(scale)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=q.dtype)
+    qs = q.data * scale
+    kd, vd = k.data, v.data
+    p = qs @ kd.swapaxes(-1, -2)
+    p += bias.data
+    if mask is not None:
+        p += mask
+    p -= np.fmax.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        gv = p.swapaxes(-1, -2) @ g
+        gs = g @ vd.swapaxes(-1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gq = gs @ kd
+        gq *= scale
+        gk = gs.swapaxes(-1, -2) @ qs
+        return gq, gk, gv, gs.sum(axis=0)
+
+    return gc._node(p @ vd, (q, k, v, bias), backward_fn)
+
+
+def head_layout_swin(block, fix, mov):
+    """The block's forward with the head split, head merge and bias
+    transpose done by graph nodes outside the fused op."""
+    heads, wsq = block.heads, block.window * block.window
+
+    def heads_split(tokens, layout):
+        windows = layout.split(tokens)
+        t = gc.reshape(windows, windows.shape[:2] + (heads, block.dim // heads))
+        return gc.transpose(t, (0, 2, 1, 3))
+
+    def heads_merge(t, layout):
+        n_win = t.shape[0]
+        return layout.merge(gc.reshape(gc.transpose(t, (0, 2, 1, 3)), (n_win, wsq, block.dim)))
+
+    def attend(q, k, v, bias, layout):
+        mask = None if layout.mask is None else layout.mask[:, None]
+        out = head_layout_attention(heads_split(q, layout), k, v, bias, mask, block.scale)
+        return heads_merge(out, layout)
+
+    bias = gc.reshape(gc.gather_rows(block.bias_table, block._rel_index), (wsq, wsq, heads))
+    bias = gc.transpose(bias, (2, 0, 1))
+    nk = gc.layer_norm(fix.data, block.norm_fix_g, block.norm_fix_b)
+    nq = gc.layer_norm(mov.data, block.norm_mov_g, block.norm_mov_b)
+    k = heads_split(gc.linear(nk, block.wk, block.bk), block.normal)
+    v = heads_split(gc.linear(nk, block.wv, block.bv), block.normal)
+    q = gc.linear(nq, block.wq, block.bq)
+    summed = gc.add(attend(q, k, v, bias, block.normal), attend(q, k, v, bias, block.shifted))
+    y = gc.add(fix.data, gc.linear(summed, block.wo, block.bo))
+    return gc.add(y, block.mlp(y))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "grid_h, grid_w, window, heads, dim",
+    [(8, 8, 4, 2, 8), (4, 8, 2, 4, 8), (4, 4, 4, 2, 6)],
+    ids=["shifted", "shifted-4x8", "whole-grid"],
+)
+def test_swin_block_bit_exact_to_head_layout_oracle(dtype, grid_h, grid_w, window, heads, dim):
+    readout = np.random.default_rng(64).normal(size=(grid_h * grid_w, dim)).astype(dtype)
+    results = []
+    for forward in (lambda block, fix, mov: block(fix, mov).data, head_layout_swin):
+        ps = ParamSet(60, dtype=dtype)
+        block = SwinCrossBlock(ps, "s", dim, grid_h, grid_w, window, heads)
+        randomize(ps, 61, scale=0.3)
+        fix = rand_tokens(62, grid_h, grid_w, dim, dtype)
+        mov = rand_tokens(63, grid_h, grid_w, dim, dtype)
+        out = forward(block, fix, mov)
+        gc.backward(gc.sum_all(gc.mul(out, readout)))
+        grads = [fix.data.grad, mov.data.grad] + [t.grad for _, t in ps.items()]
+        results.append([out.data] + grads)
+    assert (block.shifted is block.normal) == (window == min(grid_h, grid_w))
+    names = ["out", "fix", "mov"] + ps.names()
+    for name, new, old in zip(names, *results):
+        assert new.dtype == old.dtype == dtype, name
+        assert new.shape == old.shape and new.tobytes() == old.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # differentiability of every block
 
@@ -462,20 +549,24 @@ def patch_embed_param_count(patch: int, dim: int) -> int:
     return patch * patch * dim + dim
 
 
+def n_values(pset: ParamSet) -> int:
+    return sum(t.size for t in pset.tensors())
+
+
 def test_param_count_formulas():
     dim, grid = 16, 8
     ps = ParamSet(60)
     MlpBlock(ps, "m", dim)
-    assert ps.n_values() == mlp_block_param_count(dim)
+    assert n_values(ps) == mlp_block_param_count(dim)
 
     ps = ParamSet(61)
     MixerBlock(ps, "x", dim, n_tokens=grid * grid)
-    assert ps.n_values() == mixer_block_param_count(dim, grid * grid)
+    assert n_values(ps) == mixer_block_param_count(dim, grid * grid)
 
     ps = ParamSet(62)
     SwinCrossBlock(ps, "s", dim, grid, grid, window=4, heads=4)
-    assert ps.n_values() == swin_block_param_count(dim, window=4, heads=4)
+    assert n_values(ps) == swin_block_param_count(dim, window=4, heads=4)
 
     ps = ParamSet(63)
     PatchEmbed(ps, "e", patch=4, dim=dim)
-    assert ps.n_values() == patch_embed_param_count(4, dim)
+    assert n_values(ps) == patch_embed_param_count(4, dim)

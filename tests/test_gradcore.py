@@ -197,15 +197,15 @@ def test_softmax_with_minus_inf_mask():
 # window_attention
 
 
-def attention_inputs(seed, n=3, heads=2, t=5, d=3):
-    """q, k, v [n, heads, t, d], a bias [heads, t, t] shared by the n
-    windows, and a constant mask [n, 1, t, t] whose every row holds at
-    least one -inf entry and at least one finite one."""
+def attention_inputs(seed, n=3, heads=2, t=5, d=6):
+    """q, k, v [n, t, d], a bias [t, t, heads] shared by the n windows,
+    and a constant mask [n, t, t] whose every row holds at least one
+    -inf entry and at least one finite one."""
     rng = np.random.default_rng(seed)
-    q, k, v = (rng.normal(size=(n, heads, t, d)) for _ in range(3))
-    bias = rng.normal(size=(heads, t, t))
-    mask = np.where(rng.uniform(size=(n, 1, t, t)) < 0.4, -np.inf, 0.0)
-    keep = rng.integers(t, size=(n, 1, t, 1))
+    q, k, v = (rng.normal(size=(n, t, d)) for _ in range(3))
+    bias = rng.normal(size=(t, t, heads))
+    mask = np.where(rng.uniform(size=(n, t, t)) < 0.4, -np.inf, 0.0)
+    keep = rng.integers(t, size=(n, t, 1))
     drop = (keep + rng.integers(1, t, size=keep.shape)) % t
     np.put_along_axis(mask, keep, 0.0, axis=-1)
     np.put_along_axis(mask, drop, -np.inf, axis=-1)
@@ -213,10 +213,18 @@ def attention_inputs(seed, n=3, heads=2, t=5, d=3):
 
 
 def composite_attention(q, k, v, bias, mask, scale):
-    """The unfused chain: matmul -> cmul -> add -> cadd -> softmax -> matmul."""
-    logits = gc.cmul(matmul(q, gc.transpose(k, (0, 1, 3, 2))), scale)
-    logits = gc.cadd(gc.add(logits, bias), mask)
-    return matmul(softmax(logits), v)
+    """The unfused chain on [n, heads, t, d // heads] head splits:
+    matmul -> cmul -> add -> cadd -> softmax -> matmul, heads merged back."""
+    n, t, d = q.shape
+    heads = bias.shape[-1]
+
+    def split(a):
+        return gc.transpose(gc.reshape(a, (n, t, heads, d // heads)), (0, 2, 1, 3))
+
+    logits = gc.cmul(matmul(split(q), gc.transpose(split(k), (0, 1, 3, 2))), scale)
+    logits = gc.cadd(gc.add(logits, gc.transpose(bias, (2, 0, 1))), mask[:, None])
+    out = matmul(softmax(logits), split(v))
+    return gc.reshape(gc.transpose(out, (0, 2, 1, 3)), (n, t, d))
 
 
 def test_window_attention_finite_difference_with_mask():
@@ -255,6 +263,10 @@ def test_window_attention_shape_errors():
         gc.window_attention(Tensor(q), Tensor(k), Tensor(v), Tensor(bias), mask[:1], 1.0)
     with pytest.raises(DimensionError, match="share"):
         gc.window_attention(Tensor(q), Tensor(k[:1]), Tensor(v), Tensor(bias), None, 1.0)
+    with pytest.raises(DimensionError, match="heads dividing 6"):
+        gc.window_attention(Tensor(q), Tensor(k), Tensor(v), Tensor(bias[..., :1].repeat(4, -1)), None, 1.0)
+    with pytest.raises(DimensionError, match="mask"):
+        gc.window_attention(Tensor(q), Tensor(k), Tensor(v), Tensor(bias), mask[:, None], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -457,8 +457,9 @@ def test_training_memory_does_not_grow_with_batch():
 def test_swin_pair_step_graph_peak_is_bounded():
     # tracemalloc peak of one swin_trans_s 128x128 pair loss plus backward:
     # 461 MB with the attention logits kept once per op of the unfused
-    # chain (matmul, scale, bias, mask, softmax), 242 MB with one buffer
-    # per window_attention pass; the bound sits between the two
+    # chain (matmul, scale, bias, mask, softmax), 236 MB with one buffer
+    # per window_attention pass that splits and merges the heads itself;
+    # the bound sits between the two
     model = init_model(models.preset("swin_trans_s"))
     p = dataio.synth_pair(0, size=128, max_disp=3.0)
     cfg = TrainConfig(augment=AugmentationSpec.none())
