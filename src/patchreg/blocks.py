@@ -28,7 +28,6 @@ from .gradcore import (
     layer_norm,
     linear,
     mlp_branch,
-    reshape,
     transpose,
     window_attention,
 )
@@ -158,51 +157,47 @@ def _region_labels(grid_h: int, grid_w: int, window: int) -> np.ndarray:
 class WindowPartition:
     """Window geometry of a grid_h x grid_w token grid.
 
-    ``perm`` puts row-major tokens in window order (n_windows blocks of
-    window**2); ``inv`` undoes it. The shifted variant rolls the grid
-    cyclically by half a window in both axes first, and its ``mask`` is
-    the additive attention mask [n_windows, window**2, window**2]: 0
-    where both tokens come from the same rolled region, -inf across the
-    region boundaries the roll introduces. Unshifted, ``mask`` is None.
-    The windows of :meth:`split` and ``mask`` are the operands of
+    ``perm`` [n_windows, window**2] lists the row-major tokens of each
+    window; ``inv`` [grid_h*grid_w] gives each token's place in the
+    windows read in order. The shifted variant rolls the grid cyclically
+    by half a window in both axes first, and its ``mask`` is the additive
+    attention mask [n_windows, window**2, window**2]: 0 where both tokens
+    come from the same rolled region, -inf across the region boundaries
+    the roll introduces. Unshifted, ``mask`` is None. The windows of
+    :meth:`split` and ``mask`` are the operands of
     :func:`~patchreg.gradcore.window_attention` as they are.
     """
 
     def __init__(self, grid_h: int, grid_w: int, window: int, shifted: bool):
         if grid_h % window or grid_w % window:
             raise DimensionError(f"window {window} does not divide grid {grid_h}x{grid_w}")
-        self.window = window
-        self.n_windows = (grid_h // window) * (grid_w // window)
         idx = np.arange(grid_h * grid_w, dtype=np.intp).reshape(grid_h, grid_w)
         if shifted:
             idx = np.roll(idx, (-(window // 2), -(window // 2)), axis=(0, 1))
-        self.perm = _tile(idx, window).reshape(-1)
-        self.inv = np.empty_like(self.perm)
-        self.inv[self.perm] = np.arange(self.perm.size, dtype=np.intp)
+        self.perm = _tile(idx, window)
+        self.inv = np.argsort(self.perm, axis=None)
         self.mask = None
         if shifted:
             labels = _region_labels(grid_h, grid_w, window).reshape(-1)[self.perm]
-            labels = labels.reshape(self.n_windows, window * window)
             self.mask = np.where(labels[:, :, None] == labels[:, None, :], 0.0, -np.inf)
 
     def split(self, tokens: Tensor) -> Tensor:
         """Row-major [grid_h*grid_w, d] tokens -> windows [n_windows, window**2, d]."""
-        windows = gather_rows(tokens, self.perm)
-        return reshape(windows, (self.n_windows, self.window * self.window, tokens.shape[-1]))
+        return gather_rows(tokens, self.perm)
 
     def merge(self, windows: Tensor) -> Tensor:
         """Inverse of :meth:`split`: windows back to row-major tokens."""
-        return gather_rows(reshape(windows, (self.perm.size, windows.shape[-1])), self.inv)
+        return gather_rows(windows, self.inv)
 
 
 def relative_position_index(window: int) -> np.ndarray:
-    """Flat [window**2 * window**2] index into a (2w-1)**2 bias table."""
+    """[window**2, window**2] index into a (2w-1)**2 bias table."""
     coords = np.stack(
         np.meshgrid(np.arange(window), np.arange(window), indexing="ij"), axis=-1
     ).reshape(-1, 2)
     rel = coords[:, None, :] - coords[None, :, :]
     idx = (rel[..., 0] + window - 1) * (2 * window - 1) + (rel[..., 1] + window - 1)
-    return idx.reshape(-1).astype(np.intp)
+    return idx.astype(np.intp)
 
 
 class SwinCrossBlock:
@@ -264,8 +259,7 @@ class SwinCrossBlock:
         self.mlp = Mlp(pset, f"{prefix}.mlp", dim, hidden_ratio * dim)
 
     def _bias(self) -> Tensor:
-        wsq = self.window * self.window
-        return reshape(gather_rows(self.bias_table, self._rel_index), (wsq, wsq, self.heads))
+        return gather_rows(self.bias_table, self._rel_index)
 
     def _attend(self, q: Tensor, k: Tensor, v: Tensor, bias: Tensor, layout: WindowPartition):
         """One pass: row-major queries split by ``layout`` against the

@@ -223,7 +223,7 @@ def resize_image(img: np.ndarray, size: int) -> np.ndarray:
     h, w = img.shape
     if (h, w) == (size, size):
         return img.copy()
-    return sample(img[None], aligned_grid(h, w, size, size)).data[0]
+    return sample(img, aligned_grid(h, w, size, size)).data
 
 
 def resize_mask(mask: np.ndarray, size: int) -> np.ndarray:

@@ -280,26 +280,30 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """Index along axis 0; duplicate indices sum in the backward.
+    """Rows of ``a`` viewed as [rows, a.shape[-1]] at ``idx`` of any shape;
+    the output is ``idx.shape + (a.shape[-1],)`` and duplicate indices sum
+    in the backward, which returns the gradient in ``a``'s shape.
 
     When ``idx`` is a permutation of the rows the backward is a gather
     by the inverse permutation; otherwise it is one ``np.bincount``.
     """
+    if a.ndim < 2:
+        raise DimensionError(f"gather_rows needs an operand of 2 or more axes, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
-    data = a.data[idx]
-    n = a.shape[0]
+    m = a.shape[-1]
+    n = math.prod(a.shape[:-1])
+    data = a.data.reshape(n, m)[idx]
     rows = idx.ravel() % max(n, 1)  # negative indices count from the end
     if rows.size == n and np.all(np.bincount(rows, minlength=n) == 1):
         inv = np.empty_like(rows)
         inv[rows] = np.arange(n, dtype=np.intp)
 
         def backward_fn(g):
-            return (g.reshape((n,) + a.shape[1:])[inv],)
+            return (g.reshape(n, m)[inv].reshape(a.shape),)
 
     else:
 
         def backward_fn(g):
-            m = a.size // max(n, 1)
             flat = rows[:, None] * m + np.arange(m, dtype=np.intp)
             z = np.bincount(flat.ravel(), g.ravel(), minlength=a.size)
             return (z.reshape(a.shape).astype(a.dtype),)

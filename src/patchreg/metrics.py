@@ -236,17 +236,11 @@ def _summary(vals: np.ndarray) -> dict:
 
 
 def worker_count() -> int:
-    """PATCHREG_THREADS, which must be a positive integer, else the number
-    of CPUs this process may run on (its affinity mask where the platform
-    has one, so a pinned process is not oversubscribed)."""
-    env = os.environ.get("PATCHREG_THREADS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"PATCHREG_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, so a pinned process is not oversubscribed."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @functools.cache

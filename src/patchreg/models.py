@@ -139,10 +139,12 @@ class ModelConfig:
             raise ConfigError(f"unknown family '{self.family}' (expected one of {FAMILIES})")
         if not self.scales:
             raise ConfigError("a model needs at least one scale")
-        if min(self.dim, self.depth_cross, self.image_size, self.hidden_ratio) < 1:
-            raise ConfigError("dim, depth_cross, image_size and hidden_ratio must be >= 1")
-        if min(self.depth_extract, self.integration_steps) < 0:
-            raise ConfigError("depth_extract and integration_steps must be >= 0")
+        if min(self.dim, self.depth_cross, self.image_size, self.hidden_ratio, self.integration_steps) < 1:
+            raise ConfigError(
+                "dim, depth_cross, image_size, hidden_ratio and integration_steps must be >= 1"
+            )
+        if self.depth_extract < 0:
+            raise ConfigError("depth_extract must be >= 0")
         for s in self.scales:
             if s.patch < 1:
                 raise ConfigError(f"patch {s.patch} must be >= 1")
@@ -272,12 +274,18 @@ def fuse_multiscale(fields: list[VectorField], weights: list[float]) -> VectorFi
 class RegistrationModel:
     """A configured family with its parameters; maps image pairs to fields.
 
-    ``values`` (parameter name -> array) replaces the seeded init, as
-    when a checkpoint is loaded.
+    ``head_init='zeros'`` (default) starts at the identity transform;
+    ``'random'`` is used by the gradient checker, which must evaluate at
+    a generic point (at exactly zero displacement the bilinear warp sits
+    on an interpolation-cell corner where central differences straddle a
+    derivative kink). ``values`` (parameter name -> array) replaces the
+    seeded init, as when a checkpoint is loaded.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, head_init: str = "zeros", values=None):
         config.validate()
+        if head_init not in ("zeros", "random"):
+            raise ConfigError(f"unknown head_init '{head_init}'")
         self.config = config
         self.params = ParamSet(config.seed, dtype=dtype, values=values)
         self.children = [
@@ -323,16 +331,8 @@ class RegistrationModel:
 
 
 def init_model(config: ModelConfig, dtype=np.float32, head_init: str = "zeros") -> RegistrationModel:
-    """Build a model with deterministic seeded parameters.
-
-    ``head_init='zeros'`` (default) starts at the identity transform;
-    ``'random'`` is used by the gradient checker, which must evaluate at
-    a generic point (at exactly zero displacement the bilinear warp sits
-    on an interpolation-cell corner where central differences straddle a
-    derivative kink).
-    """
-    if head_init not in ("zeros", "random"):
-        raise ConfigError(f"unknown head_init '{head_init}'")
+    """Build a model with deterministic seeded parameters (see
+    :class:`RegistrationModel` for ``head_init``)."""
     return RegistrationModel(config, dtype=dtype, head_init=head_init)
 
 

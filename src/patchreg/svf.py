@@ -5,8 +5,10 @@ squaring; displacements drive a differentiable bilinear warp, and fields
 can be resampled between grids with the value rescaling that keeps units
 consistent. Every bilinear read in the package (warp, compose, resample,
 image resize, augmentation crop and rotation) goes through one kernel,
-:func:`sample`, at absolute coordinates built from :func:`identity_grid`
-or :func:`aligned_grid`; :func:`sample_nearest` reads label masks at such grids.
+:func:`sample`, which reads an image of shape ``[..., h, w]`` as it is
+(a 2-d image, a field's ``[2, h, w]``) at absolute coordinates built
+from :func:`identity_grid` or :func:`aligned_grid`; :func:`sample_nearest`
+reads label masks at such grids.
 
 Conventions, fixed project wide:
 
@@ -24,6 +26,7 @@ rebuilds the rest.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,7 +40,6 @@ from .gradcore import (
     as_tensor,
     cmul,
     neg,
-    reshape,
 )
 from .filters import gaussian_blur
 
@@ -120,16 +122,18 @@ def _cell(coord: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
-    """Differentiable clamp-to-edge bilinear read of ``img`` [c, h, w].
+    """Differentiable clamp-to-edge bilinear read of ``img`` [..., h, w].
 
     ``grid`` is [2, H, W] of absolute coordinates (channel 0 x, channel 1
     y); ``disp``, when given, is a [2, H, W] tensor of pixel offsets added
-    to it. Output is [c, H, W]. Gradients are computed for ``img`` and
-    ``disp`` unless they are constants (an ``img`` that is not a Tensor is
-    one); ``disp``'s gradient is zero where a coordinate is clamped. A NaN
-    coordinate reads cell 0 with a NaN weight, so its output is NaN.
+    to it. Output is [..., H, W], ``img``'s leading axes kept. Gradients
+    are computed for ``img`` (in its shape) and ``disp`` unless they are
+    constants (an ``img`` that is not a Tensor is one); ``disp``'s
+    gradient is zero where a coordinate is clamped. A NaN coordinate
+    reads cell 0 with a NaN weight, so its output is NaN.
 
-    The four corners are gathered from ``img`` flattened to [c, h*w] at
+    The leading axes of ``img`` count as one channel axis c, and the four
+    corners are gathered from ``img`` flattened to [c, h*w] at
     one flat index ``i00`` plus the offsets 1 (next column) and w (next
     row), which are 0 on an axis of length 1. The node keeps ``i00`` and
     the fractions; its backward rebuilds the weights and corner indices.
@@ -138,7 +142,8 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
     """
     img = as_tensor(img)
     im = img.data
-    c, h, w = im.shape
+    h, w = im.shape[-2:]
+    c = math.prod(im.shape[:-2])
     x, y = grid
     if disp is not None:
         x, y = x + disp.data[0], y + disp.data[1]
@@ -167,6 +172,7 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
 
     def backward_fn(g):
         gi = gd = None
+        g = g.reshape((c,) + i00.shape)
         gx, gy = 1 - fx, 1 - fy
         if img.requires_grad:
             # one bincount over (corner, channel, pixel), the order that fixes its float sums
@@ -178,7 +184,7 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
             for wk, out in zip((gy * gx, gy * fx, fy * gx, fy * fx), weight):
                 np.multiply(wk, g, out=out)
             gi = np.bincount(index.ravel(), weight.ravel(), minlength=c * h * w)
-            gi = gi.reshape(c, h, w).astype(im.dtype)
+            gi = gi.reshape(im.shape).astype(im.dtype)
         if corners is not None:
             v00, v01, v10, v11 = corners
             ddx = (gy * (v01 - v00) + fy * (v11 - v10)) * g
@@ -188,7 +194,8 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
             np.multiply(ddy.sum(axis=0), (y > 0.0) & (y < h - 1.0), out=gd[1])
         return gi, gd
 
-    return _node(data, (img,) if disp is None else (img, disp), backward_fn)
+    out = data.reshape(im.shape[:-2] + i00.shape)
+    return _node(out, (img,) if disp is None else (img, disp), backward_fn)
 
 
 def sample_nearest(labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -201,7 +208,8 @@ def sample_nearest(labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def warp_image(img, disp: VectorField) -> Tensor:
-    """Deform an image (or [c,h,w] stack) by a displacement field.
+    """Deform an image [h,w] (or [c,h,w] stack) by a displacement field;
+    the output has the image's shape.
 
     ``out(i, j) = img(i + dy(i,j), j + dx(i,j))`` with bilinear
     interpolation and clamp-to-edge; differentiable in the displacement
@@ -210,19 +218,13 @@ def warp_image(img, disp: VectorField) -> Tensor:
     if disp.kind != DISPLACEMENT:
         raise FieldKindError(f"warp_image needs a displacement field, got {disp.kind}")
     img = as_tensor(img)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = reshape(img, (1,) + img.shape)
-    elif img.ndim != 3:
+    if img.ndim not in (2, 3):
         raise DimensionError(f"warp_image expects [h,w] or [c,h,w], got {img.shape}")
-    if img.shape[1:] != (disp.height, disp.width):
+    if img.shape[-2:] != (disp.height, disp.width):
         raise DimensionError(
-            f"image {img.shape[1:]} and displacement {(disp.height, disp.width)} sizes differ"
+            f"image {img.shape[-2:]} and displacement {(disp.height, disp.width)} sizes differ"
         )
-    out = sample(img, identity_grid(disp.height, disp.width, img.dtype), disp.data)
-    if squeeze:
-        out = reshape(out, out.shape[1:])
-    return out
+    return sample(img, identity_grid(disp.height, disp.width, img.dtype), disp.data)
 
 
 def compose_displacements(outer: VectorField, inner: VectorField) -> VectorField:

@@ -239,13 +239,13 @@ def _rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     # inverse map: rotate output coords by -theta about the center
     xs = math.cos(th) * (gx - cx) + math.sin(th) * (gy - cy) + cx
     ys = -math.sin(th) * (gx - cx) + math.cos(th) * (gy - cy) + cy
-    return sample(img[None], np.stack([xs, ys])).data[0]
+    return sample(img, np.stack([xs, ys])).data
 
 
 def _crop_resize(img: np.ndarray, oy: int, ox: int, ch: int, cw: int) -> np.ndarray:
     h, w = img.shape
     grid = aligned_grid(ch, cw, h, w) + np.array([ox, oy], dtype=np.float64).reshape(2, 1, 1)
-    return sample(img[None], grid).data[0]
+    return sample(img, grid).data
 
 
 def augment_pair(

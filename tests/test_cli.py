@@ -174,9 +174,10 @@ _ONE_EPOCH = {"max_epochs": 1, "patience": 0}
         {"model": {"preset": "pure_mlp_desk"}, "train": {"lam": math.inf}, "data": _SYNTH_DATA},
         {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": {**_SYNTH_DATA, "bogus": 1}},
         {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": _SYNTH_DATA, "bogus": 1},
+        {"model": {"preset": "pure_mlp_desk", "integration_steps": 0}, "train": _ONE_EPOCH, "data": _SYNTH_DATA},
     ],
     ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
-         "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key"],
+         "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "steps-zero"],
 )
 def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)
@@ -348,6 +349,18 @@ def register_with_checkpoint(directory, tail: bytes) -> tuple[int, str]:
 )
 def test_register_malformed_checkpoint_exit_3(tmp_path, tail):
     assert_one_line_error(*register_with_checkpoint(tmp_path, tail), 3)
+
+
+def test_register_checkpoint_with_zero_integration_steps_exit_3(tmp_path):
+    """A stored config that no model accepts fails at load, as data."""
+    raw = desk_checkpoint(tmp_path).read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    header["config"]["integration_steps"] = 0
+    tail = length_prefixed(json.dumps(header).encode()) + raw[8 + hlen :]
+    rc, err = register_with_checkpoint(tmp_path, tail)
+    assert_one_line_error(rc, err, 3)
+    assert "integration_steps" in err
 
 
 _json_values = st.recursive(
@@ -529,15 +542,6 @@ def test_evaluate_missing_mask_skipped_exit_0(tmp_path):
     assert rc == 0
     assert len(read_log(out / "jacobian.csv")) == 2
     assert "e001" in (out / "skipped.log").read_text()
-
-
-@pytest.mark.parametrize("threads", ["abc", "0"])
-def test_evaluate_malformed_thread_count_exit_2(tmp_path, monkeypatch, threads):
-    manifest = make_eval_manifest(tmp_path, n=1)
-    ckpt = desk_checkpoint(tmp_path)
-    monkeypatch.setenv("PATCHREG_THREADS", threads)
-    assert_one_line_error(*run_cli(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest),
-                                    "--split", "test", "--out", str(tmp_path / "r")]), 2)
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

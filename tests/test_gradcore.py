@@ -274,17 +274,30 @@ def test_window_attention_shape_errors():
 
 
 def test_gather_rows_permutation_finite_difference():
+    # rows of a [2, 3, 3] operand are its 6 rows of width 3, as in [6, 3]
     perm = np.random.default_rng(3).permutation(6)
-    x = np.random.default_rng(4).normal(size=(6, 3))
-    err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], perm)), [x])
-    assert err < 1e-7
+    for shape, idx in (((6, 3), perm), ((2, 3, 3), perm.reshape(2, 3))):
+        x = np.random.default_rng(4).normal(size=shape)
+        t = Tensor(x)
+        out = gc.gather_rows(t, idx)
+        backward(scalar_readout(out))
+        assert out.shape == idx.shape + (3,) and t.grad.shape == shape
+        err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], idx)), [x])
+        assert err < 1e-7
+    with pytest.raises(DimensionError, match="2 or more axes"):
+        gc.gather_rows(Tensor(np.zeros(6)), perm)
 
 
 def test_gather_rows_duplicated_index_finite_difference():
     idx = np.array([[4, 0, 4], [1, 4, 0]])  # row 4 thrice, rows 2 and 3 never
-    x = np.random.default_rng(5).normal(size=(5, 2))
-    err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], idx)), [x])
-    assert err < 1e-7
+    for shape in ((5, 2), (5, 1, 2)):
+        x = np.random.default_rng(5).normal(size=shape)
+        t = Tensor(x)
+        out = gc.gather_rows(t, idx)
+        backward(scalar_readout(out))
+        assert out.shape == (2, 3, 2) and t.grad.shape == shape
+        err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], idx)), [x])
+        assert err < 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -282,19 +282,6 @@ def test_surface_distances_spacing_converts_units():
     assert hd == 2.5 and msd == 2.5
 
 
-def test_worker_count_respects_env(monkeypatch):
-    from patchreg.metrics import worker_count
-
-    monkeypatch.setenv("PATCHREG_THREADS", "3")
-    assert worker_count() == 3
-    for bad in ("not-a-number", "0", "-2"):
-        monkeypatch.setenv("PATCHREG_THREADS", bad)
-        with pytest.raises(ValueError, match="PATCHREG_THREADS"):
-            worker_count()
-    monkeypatch.delenv("PATCHREG_THREADS")
-    assert worker_count() >= 1
-
-
 def test_report_write_and_aggregate(tmp_path, zero_model):
     report = evaluate_pairs(zero_model, identity_eval_pairs(3), threads=1)
     report.write(tmp_path)
@@ -311,18 +298,14 @@ def test_report_write_and_aggregate(tmp_path, zero_model):
     )
 
 
-def test_worker_count_is_the_affinity_mask_unless_the_env_sets_it(monkeypatch):
+def test_worker_count_is_the_affinity_mask(monkeypatch):
     import os
 
     from patchreg.metrics import worker_count
 
-    monkeypatch.delenv("PATCHREG_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert worker_count() == 1
-    monkeypatch.setenv("PATCHREG_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("PATCHREG_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert worker_count() == 8
 

@@ -156,6 +156,11 @@ def test_window_not_dividing_grid_is_config_error():
         init_model(cfg)
 
 
+def test_model_itself_rejects_an_unknown_head_init():
+    with pytest.raises(ConfigError, match="unknown head_init 'bogus'"):
+        models.RegistrationModel(desk_config("pure_mlp"), head_init="bogus")
+
+
 def test_wrong_image_size_is_dimension_error(pair32):
     model = init_model(desk_config("pure_mlp", image_size=64))
     from patchreg.gradcore import DimensionError

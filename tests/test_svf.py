@@ -203,6 +203,25 @@ def test_warp_constant_image_gives_the_same_displacement_gradient():
         assert np.array_equal(grads[0], grads[1])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sample_reads_a_2d_image_as_one_channel(dtype):
+    # [h, w] and [1, 1, h, w] through sample give the bytes of [1, h, w]:
+    # value, image gradient and displacement gradient
+    rng = np.random.default_rng(8)
+    img = rng.uniform(size=(12, 10)).astype(dtype)
+    grid = identity_grid(9, 11, dtype) * np.array([0.9, 1.3], dtype).reshape(2, 1, 1)
+    disp = rng.normal(size=(2, 9, 11)).astype(dtype)
+    r = rng.normal(size=(9, 11)).astype(dtype)
+    runs = []
+    for image, weight in ((img, r), (img[None], r[None]), (img[None, None], r[None, None])):
+        img_t, disp_t = Tensor(image.copy()), Tensor(disp.copy())
+        out = sample(img_t, grid, disp_t)
+        backward(sum_all(mul(out, Tensor(weight))))
+        runs.append((out.data.tobytes(), img_t.grad.tobytes(), disp_t.grad.tobytes()))
+        assert out.shape == image.shape[:-2] + (9, 11) and img_t.grad.shape == image.shape
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_warp_size_mismatch():
     with pytest.raises(DimensionError):
         warp_image(np.zeros((8, 8)), const_field(9, 8, 0, 0))
