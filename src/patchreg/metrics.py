@@ -244,9 +244,10 @@ def worker_count() -> int:
 
 
 @functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS loaded in this
-    process, or None when there is none to be found (another BLAS, or no
+def _openblas_functions(*stems):
+    """The functions ``openblas_<stem>`` (``scipy_openblas_<stem>64_`` in
+    numpy's wheels) of the OpenBLAS loaded in this process, all from one
+    library, or None when there is none to be found (another BLAS, or no
     ``/proc/self/maps``)."""
     try:
         with open("/proc/self/maps") as fh:
@@ -258,13 +259,37 @@ def _openblas():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+        for name in ("scipy_openblas_{}64_", "openblas_{}"):
+            funcs = [getattr(lib, name.format(stem), None) for stem in stems]
+            if None not in funcs:
+                return funcs
     return None
+
+
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS loaded in this
+    process, or None when there is none to be found."""
+    funcs = _openblas_functions("get_num_threads", "set_num_threads")
+    if funcs is None:
+        return None
+    get, set_ = funcs
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def openblas_build() -> tuple[str, str] | None:
+    """(version, kernel name) of the OpenBLAS loaded in this process, such
+    as ``("0.3.31.188.0", "SkylakeX")``, or None when there is none to be
+    found. The kernel is the one chosen at run time (``OPENBLAS_CORETYPE``
+    overrides it); float results can differ between kernels."""
+    funcs = _openblas_functions("get_config", "get_corename")
+    if funcs is None:
+        return None
+    for f in funcs:
+        f.argtypes, f.restype = [], ctypes.c_char_p
+    config, core = (f().decode() for f in funcs)
+    return config.split()[1], core
 
 
 # The count is process wide, so blocks that overlap in several threads
