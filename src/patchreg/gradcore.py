@@ -364,13 +364,43 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _LN_EPS = 1e-5
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """x̂ and 1/σ of the last axis: x̂ = (x - mean) / sqrt(var + eps), with
-    the biased variance. x̂ is a new array in ``x``'s memory layout."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x̂, mean and 1/σ of the last axis: x̂ = (x - mean) * (1 / sqrt(var +
+    eps)), with the biased variance. x̂ is a new array in ``x``'s memory
+    layout; :func:`_renormalize` rebuilds it bit for bit from ``x``, the
+    mean and 1/σ, so a graph node keeps those two instead of x̂."""
+    mean = x.mean(axis=-1, keepdims=True)
+    xhat = x - mean
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
-    return xhat, inv
+    return xhat, mean, inv
+
+
+# Values per row block of the elementwise chains that layer_norm and
+# mlp_branch run with a graph. A block's operands and temporaries stay in
+# cache from one step of a chain to the next, and its temporaries are
+# small, so the heap hands the same pages back for every block.
+_ROW_BLOCK = 1 << 15
+
+
+def _row_blocks(a: np.ndarray) -> list:
+    """Slices of ``a``'s first axis, each about ``_ROW_BLOCK`` values; one
+    slice of everything for a 1-d ``a``, whose one axis is the row."""
+    if a.ndim < 2:
+        return [slice(None)]
+    n = a.shape[0]
+    step = max(_ROW_BLOCK // max(a.size // max(n, 1), 1), 1)
+    return [slice(r, r + step) for r in range(0, n, step)]
+
+
+def _renormalize(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """x̂ of :func:`_normalize` rebuilt in row blocks, with the same ufuncs
+    in the same order, into a new array in ``x``'s memory layout."""
+    xhat = np.empty_like(x)
+    for s in _row_blocks(x):
+        b = np.subtract(x[s], mean[s], out=xhat[s])
+        b *= inv[s]
+    return xhat
 
 
 def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
@@ -389,7 +419,8 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: n
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (biased
-    estimator), then scale and shift."""
+    estimator), then scale and shift. The node keeps the mean and 1/σ
+    of each row, not x̂."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -398,11 +429,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
         )
     if eps <= 0:
         raise ContractError("layer_norm: eps must be positive")
-    xhat, inv = _normalize(x.data, eps)
-    data = xhat * gamma.data + beta.data
+    data, mean, inv = _normalize(x.data, eps)
+    data *= gamma.data  # x̂ is rebuilt in the backward
+    data += beta.data
 
     def backward_fn(g):
-        return _layer_norm_grads(g, xhat, inv, gamma.data)
+        return _layer_norm_grads(g, _renormalize(x.data, mean, inv), inv, gamma.data)
 
     return _node(data, (x, gamma, beta), backward_fn)
 
@@ -410,13 +442,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_tanh(h: np.ndarray) -> np.ndarray:
-    """t = tanh(c * (h + 0.044715 * h³)) in a new array; gelu(h) = 0.5 * h * (1 + t).
+def _gelu_tanh(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """t = tanh(c * (h + 0.044715 * h³)) into ``out`` (default a new array);
+    gelu(h) = 0.5 * h * (1 + t).
 
     Powers are written as products: numpy's float ``pow`` costs many
     times more than the multiplies.
     """
-    t = np.multiply(h, h, out=np.empty_like(h))  # an array even for 0-d h
+    t = np.multiply(h, h, out=np.empty_like(h) if out is None else out)  # an array even for 0-d h
     t *= h
     t *= 0.044715
     t += h
@@ -443,6 +476,13 @@ def _gelu_slope(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     if _GRAD_FAULT:
         np.negative(s, out=s)
     return s
+
+
+def _gelu_value(h: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """gelu(h) = 0.5 * h * (1 + t) into ``out``, given ``t = _gelu_tanh(h)``."""
+    a = np.multiply(h, 0.5, out=out)
+    a *= np.add(t, 1.0)
+    return a
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -558,15 +598,24 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     place where the chain would allocate a fresh array, so values and
     gradients are bit-identical to it.
 
-    One forward loop runs over row blocks. When the output gets a graph
-    node, the loop runs once over all rows and the node keeps x̂, 1/σ,
-    the ``fc1`` input, the pre-activation ``h``, ``tanh`` and gelu(h).
-    Otherwise (under :func:`no_grad`, or with constant operands) blocks
-    hold about ``_MLP_BLOCK`` hidden values, a short last block joins the
-    one before it, and nothing is kept. Block rows match the whole-matrix
-    rows bit for bit where BLAS gives a row block's product the bits of
-    the same rows of the whole product, as it does for the shipped
-    presets' power-of-two shapes; elsewhere they agree to rounding.
+    When the output gets a graph node, each product is one whole-matrix
+    BLAS call, and the elementwise chains between them (bias add, tanh,
+    gelu, its slope, the x̂ and fc1-input rebuild) run in row blocks of
+    about ``_ROW_BLOCK`` values that write into whole-matrix buffers. The
+    node keeps only the pre-activation ``h = y @ w1 + b1``, its ``t =
+    tanh(c·(h + 0.044715·h³))`` and each row's mean and 1/σ; ``x`` is
+    held by the node's edge or closure. The backward rebuilds x̂, the
+    ``fc1`` input ``y = x̂·γ + β`` and gelu(h) = 0.5·h·(1 + t) with the
+    forward's ufuncs, and reuses the gelu(h) buffer for the gradient of
+    ``h``.
+
+    Otherwise (under :func:`no_grad`, or with constant operands) the
+    whole chain runs in row blocks of about ``_MLP_BLOCK`` hidden values,
+    a short last block joins the one before it, and nothing is kept.
+    These block rows match the whole-matrix rows bit for bit where BLAS
+    gives a row block's product the bits of the same rows of the whole
+    product, as it does for the shipped presets' power-of-two shapes on
+    the kernels tier-1 pins; elsewhere they agree to rounding.
     """
     ops = tuple(as_tensor(t) for t in (x, gamma, beta, w1, b1, w2, b2))
     x, gamma, beta, w1, b1, w2, b2 = ops
@@ -583,33 +632,57 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     if w2.ndim != 2 or w2.shape[0] != hidden or b2.shape != w2.shape[1:]:
         raise DimensionError(f"mlp_branch: fc2 {w2.shape} + {b2.shape} does not fit hidden width {hidden}")
     xd, gd, bd, w1d, b1d, w2d, b2d = (t.data for t in ops)
-    keep = _GRAD_MODE.enabled and any(t.requires_grad for t in ops)  # the output gets a node
-    step = max(n if keep else _MLP_BLOCK // hidden, 1)
-    starts = list(range(0, max(n - step, 0) + 1, step))  # the last block takes the remainder
-    outs = []
-    for r0, r1 in zip(starts, starts[1:] + [n]):
-        xhat, inv = _normalize(xd[r0:r1], _LN_EPS)  # keeps a transposed input's layout
-        y = np.multiply(xhat, gd, out=None if keep else xhat)
-        y += bd
-        h = y @ w1d
-        h += b1d
-        t = _gelu_tanh(h)
-        a = np.multiply(h, 0.5, out=None if keep else h)
-        a *= np.add(t, 1.0, out=None if keep else t)
-        o = a @ w2d
-        o += b2d
-        outs.append(o)
-    data = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    if not (_GRAD_MODE.enabled and any(t.requires_grad for t in ops)):  # the output is a constant
+        step = max(_MLP_BLOCK // hidden, 1)
+        starts = list(range(0, max(n - step, 0) + 1, step))  # the last block takes the remainder
+        outs = []
+        for r0, r1 in zip(starts, starts[1:] + [n]):
+            y = _normalize(xd[r0:r1], _LN_EPS)[0]  # keeps a transposed input's layout
+            y *= gd
+            y += bd
+            h = y @ w1d
+            h += b1d
+            t = _gelu_tanh(h)
+            a = np.multiply(h, 0.5, out=h)
+            a *= np.add(t, 1.0, out=t)
+            o = a @ w2d
+            o += b2d
+            outs.append(o)
+        return _node(outs[0] if len(outs) == 1 else np.concatenate(outs), ops, None)
+
+    y, mean, inv = _normalize(xd, _LN_EPS)  # keeps a transposed input's layout
+    y *= gd  # x̂ and y are rebuilt in the backward
+    y += bd
+    h = y @ w1d
+    del y
+    t = np.empty_like(h)
+    a = np.empty_like(h)
+    for s in _row_blocks(h):
+        hb = h[s]
+        hb += b1d
+        _gelu_value(hb, _gelu_tanh(hb, out=t[s]), out=a[s])
+    data = a @ w2d
+    data += b2d
+    del a
 
     def backward_fn(g):
+        a = np.empty_like(h)
+        for s in _row_blocks(h):
+            _gelu_value(h[s], t[s], out=a[s])
         gw2 = a.T @ g
-        gb2 = g.sum(axis=0)
-        gh = g @ w2d.T
-        gh *= _gelu_slope(h, t)
+        gh = np.matmul(g, w2d.T, out=a)  # gelu(h) is no longer needed
+        for s in _row_blocks(h):
+            ghb = gh[s]
+            ghb *= _gelu_slope(h[s], t[s])
+        xhat = _renormalize(xd, mean, inv)
+        y = np.empty_like(xhat)
+        for s in _row_blocks(y):
+            yb = np.multiply(xhat[s], gd, out=y[s])
+            yb += bd
         gw1 = y.T @ gh
-        gb1 = gh.sum(axis=0)
+        del y
         gx, ggamma, gbeta = _layer_norm_grads(gh @ w1d.T, xhat, inv, gd)
-        return gx, ggamma, gbeta, gw1, gb1, gw2, gb2
+        return gx, ggamma, gbeta, gw1, gh.sum(axis=0), gw2, g.sum(axis=0)
 
     return _node(data, ops, backward_fn)
 

@@ -200,11 +200,20 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
 
 def sample_nearest(labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Clamp-to-edge nearest-neighbour read of ``labels`` [h, w] at the
-    absolute coordinates ``grid`` [2, H, W]; labels are never blended."""
+    absolute coordinates ``grid`` [2, H, W]; labels are never blended.
+    A coordinate is clamped before it becomes an index, as in
+    :func:`sample`, so any float reads an edge cell, and a NaN reads
+    cell 0."""
     h, w = labels.shape
-    xi = np.clip(np.rint(grid[0]).astype(np.intp), 0, w - 1)
-    yi = np.clip(np.rint(grid[1]).astype(np.intp), 0, h - 1)
-    return labels[yi, xi]
+    return labels[_nearest(grid[1], h), _nearest(grid[0], w)]
+
+
+def _nearest(coord: np.ndarray, n: int) -> np.ndarray:
+    """Nearest clamp-to-edge index on an axis of length n; NaN gives 0."""
+    i = np.rint(coord)
+    np.fmax(i, 0.0, out=i)  # fmax lifts a NaN to 0, so the cast never sees one
+    np.minimum(i, n - 1.0, out=i)
+    return i.astype(np.intp)
 
 
 def warp_image(img, disp: VectorField) -> Tensor:

@@ -702,6 +702,56 @@ def test_mlp_branch_is_bit_identical_to_the_composite_chain(dtype, transposed):
     assert np.array_equal(constant.data, fused_out)
 
 
+def _kept_bytes(node):
+    """ndarray bytes in ``node``'s backward closure, the operands' own arrays left out."""
+    operands = {id(p.data) for p in node._parents if p is not None}
+    cells = (c.cell_contents for c in node._backward.__closure__)
+    return sum(a.nbytes for a in cells if isinstance(a, np.ndarray) and id(a) not in operands)
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed"])
+def test_mlp_branch_and_layer_norm_nodes_keep_no_rebuildable_array(transposed):
+    # mlp_branch keeps h and tanh(h) [n, hidden] plus each row's mean and
+    # 1/sigma; x-hat, the fc1 input and gelu(h) are rebuilt in the backward.
+    # layer_norm keeps the row statistics only.
+    n, d, hidden = 64, 16, 48
+    arrays = mlp_operands(32, n=n, d=d, hidden=hidden)
+    ts = [Tensor(a.T.copy() if transposed and i == 0 else a) for i, a in enumerate(arrays)]
+    x = gc.transpose(ts[0]) if transposed else ts[0]
+    item = x.data.itemsize
+    assert _kept_bytes(gc.mlp_branch(x, *ts[1:])) <= 2 * n * hidden * item + 4 * n * item
+    assert _kept_bytes(layer_norm(x, ts[1], ts[2])) <= 4 * n * item
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed"])
+def test_mlp_branch_row_blocks_are_bit_identical_at_block_edges(monkeypatch, dtype, transposed):
+    # 1000 values per block: h [43, 96] runs four blocks of 10 rows and one
+    # of 3, the x-hat rebuild of [43, 24] one block of 41 rows and one of 2
+    arrays = mlp_operands(33, n=43, d=24, hidden=96, dtype=dtype)
+    chain_out, chain_grads = run_mlp(composite_mlp, arrays, transposed)
+    monkeypatch.setattr(gc, "_ROW_BLOCK", 1000)
+    assert len(gc._row_blocks(np.empty((43, 96)))) == 5
+    fused_out, fused_grads = run_mlp(gc.mlp_branch, arrays, transposed)
+    assert fused_out.dtype == dtype and np.array_equal(fused_out, chain_out)
+    for name, fused, chain in zip(_MLP_NAMES, fused_grads, chain_grads):
+        assert fused.dtype == dtype and np.array_equal(fused, chain), name
+
+
+def test_mlp_branch_finite_difference_across_row_blocks(monkeypatch):
+    monkeypatch.setattr(gc, "_ROW_BLOCK", 100)  # h [23, 30]: blocks of 3 rows and one of 2
+    ps = ParamSet(34, dtype=np.float64)
+    for name, a in zip(_MLP_NAMES, mlp_operands(35, n=23, d=7, hidden=30, d_out=5)):
+        ps.add(name, a.shape).data[...] = a
+
+    def f(params):
+        return scalar_readout(gc.mlp_branch(*(params[n] for n in _MLP_NAMES)), seed=36)
+
+    report = grad_check(f, ps, n_probes=120, step=1e-6, seed=37)
+    assert {p.name for p in report.probes} == set(_MLP_NAMES)
+    assert report.max_rel_err < 1e-6, report.worst
+
+
 def test_mlp_branch_shape_errors():
     x, g, b, w1, b1, w2, b2 = mlp_operands(27, n=3, d=4, hidden=6)
     with pytest.raises(DimensionError, match="input"):

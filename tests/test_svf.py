@@ -21,6 +21,7 @@ from patchreg.svf import (
     read_field,
     resample_field,
     sample,
+    sample_nearest,
     warp_image,
     write_field,
 )
@@ -504,3 +505,50 @@ def test_identity_grid_definition(seed):
     i, j = int(rng.integers(h)), int(rng.integers(w))
     assert g[0, i, j] == j
     assert g[1, i, j] == i
+
+
+# ---------------------------------------------------------------------------
+# nearest-neighbour label reads
+
+
+def _cast_then_clamp(labels, grid):
+    """The nearest read as it was before it clamped in float: right for
+    coordinates whose rounded value fits an ``intp``."""
+    h, w = labels.shape
+    xi = np.clip(np.rint(grid[0]).astype(np.intp), 0, w - 1)
+    yi = np.clip(np.rint(grid[1]).astype(np.intp), 0, h - 1)
+    return labels[yi, xi]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coord", [1e19, -1e19, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_sample_nearest_clamps_any_coordinate_before_it_indexes(coord, axis):
+    # on a 4x4 grid x = 1e19 used to overflow the index cast and read
+    # column 0; clamp-to-edge reads column 3, as the bilinear sample does
+    labels = np.arange(16).reshape(4, 4)
+    grid = np.ones((2, 1, 1))
+    grid[axis] = coord
+    edge = 0 if np.isnan(coord) or coord < 0 else 3
+    want = labels[1, edge] if axis == 0 else labels[edge, 1]
+    assert sample_nearest(labels, grid)[0, 0] == want
+    if not np.isnan(coord):  # NaN reads cell 0 in both, with a NaN weight in sample
+        assert sample(labels.astype(np.float64), grid).data[0, 0] == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nearest_reads_at_in_range_coordinates_are_unchanged(dtype):
+    from patchreg.dataio import resize_mask
+    from patchreg.metrics import warp_mask
+
+    rng = np.random.default_rng(40)
+    labels = rng.integers(0, 4, size=(13, 17)).astype(np.uint8)
+    grid = rng.uniform(-30.0, 50.0, size=(2, 9, 11)).astype(dtype)
+    grid[:, 0, :6] = [[-0.5, 0.5, 1.5, 2.5, 11.5, 16.5]] * 2  # ties round to even
+    assert sample_nearest(labels, grid).tobytes() == _cast_then_clamp(labels, grid).tobytes()
+    for size in (1, 2, 7, 13, 29, 64):
+        want = _cast_then_clamp(labels, aligned_grid(13, 17, size, size))
+        assert resize_mask(labels, size).tobytes() == want.tobytes()
+    disp = VectorField(rng.normal(0.0, 4.0, size=(2, 13, 17)).astype(dtype), DISPLACEMENT)
+    want = _cast_then_clamp(labels, identity_grid(13, 17) + disp.array)
+    assert warp_mask(labels, disp).tobytes() == want.tobytes()
