@@ -29,8 +29,13 @@ hold ``-inf`` as long as every row of every window keeps a finite logit.
 :func:`mlp_branch` is the pre-norm MLP sub-layer every block ends in,
 ``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2``, with the arithmetic of
 that chain in the same order, so it is bit-identical to it. With a graph
-it keeps what its backward needs; without one it runs in row blocks
-whose temporaries the heap reuses, and keeps nothing.
+its node keeps only the pre-activation h, tanh of the gelu polynomial of
+h, and each row's mean and 1/σ; the backward rebuilds x̂, the fc1 input
+and gelu(h) from them with the forward's ufuncs, and the elementwise
+chains of both directions run in row blocks between whole-matrix
+products. Without a graph it runs in row blocks whose temporaries the
+heap reuses, and keeps nothing. :func:`layer_norm` likewise keeps the
+row statistics, not x̂.
 
 float64 is the precision for finite-difference verification, float32 the
 training default. Every kernel here is checked against central finite
@@ -478,8 +483,9 @@ def _gelu_slope(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _gelu_value(h: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """gelu(h) = 0.5 * h * (1 + t) into ``out``, given ``t = _gelu_tanh(h)``."""
+def _gelu_value(h: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """gelu(h) = 0.5 * h * (1 + t) into ``out`` (default a new array),
+    given ``t = _gelu_tanh(h)``."""
     a = np.multiply(h, 0.5, out=out)
     a *= np.add(t, 1.0)
     return a
@@ -490,7 +496,7 @@ def gelu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     xd = x.data
     t = _gelu_tanh(xd)
-    data = 0.5 * xd * (1.0 + t)
+    data = _gelu_value(xd, t)
 
     def backward_fn(g):
         return (g * _gelu_slope(xd, t),)
