@@ -620,8 +620,8 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     a short last block joins the one before it, and nothing is kept.
     These block rows match the whole-matrix rows bit for bit where BLAS
     gives a row block's product the bits of the same rows of the whole
-    product, as it does for the shipped presets' power-of-two shapes on
-    the kernels tier-1 pins; elsewhere they agree to rounding.
+    product, as OpenBLAS's SkylakeX kernel does for the shipped presets'
+    power-of-two shapes; elsewhere they agree to rounding.
     """
     ops = tuple(as_tensor(t) for t in (x, gamma, beta, w1, b1, w2, b2))
     x, gamma, beta, w1, b1, w2, b2 = ops
@@ -669,7 +669,6 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
         _gelu_value(hb, _gelu_tanh(hb, out=t[s]), out=a[s])
     data = a @ w2d
     data += b2d
-    del a
 
     def backward_fn(g):
         a = np.empty_like(h)
