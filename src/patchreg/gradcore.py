@@ -33,9 +33,9 @@ its node keeps only the pre-activation h, tanh of the gelu polynomial of
 h, and each row's mean and 1/σ; the backward rebuilds x̂, the fc1 input
 and gelu(h) from them with the forward's ufuncs, and the elementwise
 chains of both directions run in row blocks between whole-matrix
-products. Without a graph it runs in row blocks whose temporaries the
-heap reuses, and keeps nothing. :func:`layer_norm` likewise keeps the
-row statistics, not x̂.
+products. Without a graph it runs the same forward, with tanh kept one
+row block at a time and gelu(h) written over h, and keeps nothing.
+:func:`layer_norm` likewise keeps the row statistics, not x̂.
 
 float64 is the precision for finite-difference verification, float32 the
 training default. Every kernel here is checked against central finite
@@ -586,14 +586,6 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale:
     return _node(merged(p, vd), (q, k, v, bias), backward_fn)
 
 
-# Hidden values per row block when mlp_branch keeps no graph. Each
-# block's hidden-size temporaries (about 512 KiB in float32) are freed
-# before the next block asks for the same sizes, so the heap hands the
-# same pages back instead of mapping and faulting in new ones. The value
-# comes from a 2**14..2**18 sweep of no-graph ``register`` (CHANGES.md).
-_MLP_BLOCK = 1 << 17
-
-
 def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Pre-norm MLP branch ``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2`` as one node.
 
@@ -604,30 +596,27 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     place where the chain would allocate a fresh array, so values and
     gradients are bit-identical to it.
 
-    When the output gets a graph node, each product is one whole-matrix
-    BLAS call, and the elementwise chains between them (bias add, tanh,
-    gelu, its slope, the x̂ and fc1-input rebuild) run in row blocks of
-    about ``_ROW_BLOCK`` values that write into whole-matrix buffers. The
-    node keeps only the pre-activation ``h = y @ w1 + b1``, its ``t =
-    tanh(c·(h + 0.044715·h³))`` and each row's mean and 1/σ; ``x`` is
-    held by the node's edge or closure. The backward rebuilds x̂, the
-    ``fc1`` input ``y = x̂·γ + β`` and gelu(h) = 0.5·h·(1 + t) with the
-    forward's ufuncs, and reuses the gelu(h) buffer for the gradient of
-    ``h``.
+    Each product is one whole-matrix BLAS call, and the elementwise
+    chains between them (bias add, tanh, gelu, its slope, the x̂ and
+    fc1-input rebuild) run in row blocks of about ``_ROW_BLOCK`` values
+    that write into whole-matrix buffers. When the output gets a graph
+    node, the node keeps only the pre-activation ``h = y @ w1 + b1``,
+    its ``t = tanh(c·(h + 0.044715·h³))`` and each row's mean and 1/σ;
+    ``x`` is held by the node's edge or closure. The backward rebuilds
+    x̂, the ``fc1`` input ``y = x̂·γ + β`` and gelu(h) = 0.5·h·(1 + t)
+    with the forward's ufuncs, and reuses the gelu(h) buffer for the
+    gradient of ``h``.
 
     Otherwise (under :func:`no_grad`, or with constant operands) the
-    whole chain runs in row blocks of about ``_MLP_BLOCK`` hidden values,
-    a short last block joins the one before it, and nothing is kept.
-    These block rows match the whole-matrix rows bit for bit where BLAS
-    gives a row block's product the bits of the same rows of the whole
-    product, as OpenBLAS's SkylakeX kernel does for the shipped presets'
-    power-of-two shapes; elsewhere they agree to rounding.
+    forward is the same arithmetic, so its output has the bits of the
+    graph one on any BLAS; t lives one row block at a time, gelu(h)
+    overwrites h, and nothing is kept.
     """
     ops = tuple(as_tensor(t) for t in (x, gamma, beta, w1, b1, w2, b2))
     x, gamma, beta, w1, b1, w2, b2 = ops
     if x.ndim != 2:
         raise DimensionError(f"mlp_branch: input must be [n, d], got {x.shape}")
-    n, d = x.shape
+    d = x.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"mlp_branch: scale/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
@@ -638,37 +627,22 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     if w2.ndim != 2 or w2.shape[0] != hidden or b2.shape != w2.shape[1:]:
         raise DimensionError(f"mlp_branch: fc2 {w2.shape} + {b2.shape} does not fit hidden width {hidden}")
     xd, gd, bd, w1d, b1d, w2d, b2d = (t.data for t in ops)
-    if not (_GRAD_MODE.enabled and any(t.requires_grad for t in ops)):  # the output is a constant
-        step = max(_MLP_BLOCK // hidden, 1)
-        starts = list(range(0, max(n - step, 0) + 1, step))  # the last block takes the remainder
-        outs = []
-        for r0, r1 in zip(starts, starts[1:] + [n]):
-            y = _normalize(xd[r0:r1], _LN_EPS)[0]  # keeps a transposed input's layout
-            y *= gd
-            y += bd
-            h = y @ w1d
-            h += b1d
-            t = _gelu_tanh(h)
-            a = np.multiply(h, 0.5, out=h)
-            a *= np.add(t, 1.0, out=t)
-            o = a @ w2d
-            o += b2d
-            outs.append(o)
-        return _node(outs[0] if len(outs) == 1 else np.concatenate(outs), ops, None)
-
+    keep = _GRAD_MODE.enabled and any(t.requires_grad for t in ops)  # else the output is a constant
     y, mean, inv = _normalize(xd, _LN_EPS)  # keeps a transposed input's layout
     y *= gd  # x̂ and y are rebuilt in the backward
     y += bd
     h = y @ w1d
     del y
-    t = np.empty_like(h)
-    a = np.empty_like(h)
+    t = np.empty_like(h) if keep else None
+    a = np.empty_like(h) if keep else h  # without a graph gelu(h) overwrites h
     for s in _row_blocks(h):
         hb = h[s]
         hb += b1d
-        _gelu_value(hb, _gelu_tanh(hb, out=t[s]), out=a[s])
+        _gelu_value(hb, _gelu_tanh(hb, out=None if t is None else t[s]), out=a[s])
     data = a @ w2d
     data += b2d
+    if not keep:
+        return _node(data, ops, None)
 
     def backward_fn(g):
         a = np.empty_like(h)

@@ -43,7 +43,7 @@ def np_layer_norm(x, g, b, eps=1e-5):
 
 def np_gelu(x):
     c = np.sqrt(2.0 / np.pi)
-    u = c * (x + 0.044715 * x**3)
+    u = c * (x + 0.044715 * (x * x * x))  # the kernel's product order, not pow
     t = np.tanh(u)
     return 0.5 * x * (1.0 + t)
 
@@ -129,6 +129,7 @@ def test_mlp_block_matches_straight_line_recomposition():
     t = t @ block.mlp.w1.data + block.mlp.b1.data
     t = np_gelu(t)
     t = t @ block.mlp.w2.data + block.mlp.b2.data
+    assert np.array_equal(block.mlp(x.data).data, t)  # the branch, before the residual rounds
     assert np.array_equal(out, x.data.data + t)
 
 

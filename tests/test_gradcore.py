@@ -1,5 +1,7 @@
 """Kernel-level checks of the autodiff engine against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -682,9 +684,7 @@ def test_mlp_branch_finite_difference_all_seven_operands():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed"])
 def test_mlp_branch_is_bit_identical_to_the_composite_chain(dtype, transposed):
-    # 640 rows at hidden width 512 are 2.5 blocks of the no-graph forward
     arrays = mlp_operands(26, n=640, d=128, hidden=512, dtype=dtype)
-    assert 640 * 512 == 5 * gc._MLP_BLOCK // 2
     fused_out, fused_grads = run_mlp(gc.mlp_branch, arrays, transposed)
     chain_out, chain_grads = run_mlp(composite_mlp, arrays, transposed)
     assert fused_out.dtype == dtype
@@ -695,10 +695,10 @@ def test_mlp_branch_is_bit_identical_to_the_composite_chain(dtype, transposed):
     x = arrays[0].T.copy().T if transposed else arrays[0]
     params = [Tensor(a) for a in arrays[1:]]
     with gc.no_grad():
-        blocked = gc.mlp_branch(x, *params)
+        graphless = gc.mlp_branch(x, *params)
     constant = gc.mlp_branch(x, *arrays[1:])  # no Tensor operand: no graph either
-    assert not blocked.requires_grad and not constant.requires_grad
-    assert np.array_equal(blocked.data, fused_out)
+    assert not graphless.requires_grad and not constant.requires_grad
+    assert np.array_equal(graphless.data, fused_out)
     assert np.array_equal(constant.data, fused_out)
 
 
@@ -721,6 +721,27 @@ def test_mlp_branch_and_layer_norm_nodes_keep_no_rebuildable_array(transposed):
     item = x.data.itemsize
     assert _kept_bytes(gc.mlp_branch(x, *ts[1:])) <= 2 * n * hidden * item + 4 * n * item
     assert _kept_bytes(layer_norm(x, ts[1], ts[2])) <= 4 * n * item
+
+
+@pytest.mark.parametrize("n, d, transposed", [(1600, 128, False), (128, 1024, True)], ids=["rows", "transposed"])
+def test_mlp_branch_without_a_graph_holds_one_hidden_width_array(n, d, transposed):
+    # no graph: tanh(h) lives one row block at a time and gelu(h) overwrites
+    # h, so the forward never holds a second [n, hidden] array. The
+    # transposed case is a mixer token MLP's input, a view from .T
+    hidden = 512
+    arrays = mlp_operands(38, n=n, d=d, hidden=hidden, dtype=np.float32)
+    x = arrays[0].T.copy().T if transposed else arrays[0]
+    params = [Tensor(a) for a in arrays[1:]]
+    item = x.itemsize
+    with gc.no_grad():
+        tracemalloc.start()
+        try:
+            out = gc.mlp_branch(x, *params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (n, d) and not out.requires_grad
+    assert peak <= n * hidden * item + 2 * n * d * item, peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
