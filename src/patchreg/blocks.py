@@ -1,14 +1,17 @@
 """Patch-token building blocks: patch embedding, per-token MLP block,
 token/channel mixing block, windowed cross-attention block.
 
-A :class:`TokenMap` holds tokens in row-major grid order (row i, column
-j -> index i*grid_w + j); the window partition relies on that order.
-Blocks are pure functions of (inputs, params) and pre-norm residual
-throughout. All three block kinds end in the same sub-layer, the
-pre-norm MLP branch :class:`Mlp` ``fc2(gelu(fc1(norm(x))))``, which is
-one fused op, :func:`~patchreg.gradcore.mlp_branch`; each block adds
-its own residual. Window geometry (:class:`WindowPartition`) is fixed
-by the grid, so a cross-attention block builds it once.
+Tokens are a plain :class:`~patchreg.gradcore.Tensor` of shape
+[grid_h * grid_w, dim] in row-major grid order (row i, column j ->
+index i*grid_w + j); the window partition relies on that order. Each
+block is built for its grid and checks the token count (and, for cross
+attention, the width) it is given. Blocks are pure functions of
+(inputs, params) and pre-norm residual throughout. All three block
+kinds end in the same sub-layer, the pre-norm MLP branch :class:`Mlp`
+``fc2(gelu(fc1(norm(x))))``, which is one fused op,
+:func:`~patchreg.gradcore.mlp_branch`; each block adds its own residual.
+Window geometry (:class:`WindowPartition`) is fixed by the grid, so a
+cross-attention block builds it once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .gradcore import (
     ParamSet,
     Tensor,
     add,
-    as_tensor,
     gather_rows,
     gelu,  # noqa: F401  not called here; perfbench/tests checks its tracer patches blocks.gelu
     layer_norm,
@@ -31,30 +33,6 @@ from .gradcore import (
     transpose,
     window_attention,
 )
-
-
-class TokenMap:
-    """Tokens on a grid: ``data`` is [grid_h * grid_w, dim], row major."""
-
-    __slots__ = ("grid_h", "grid_w", "dim", "data")
-
-    def __init__(self, grid_h: int, grid_w: int, data: Tensor):
-        data = as_tensor(data)
-        if data.ndim != 2 or data.shape[0] != grid_h * grid_w:
-            raise DimensionError(
-                f"token data {data.shape} does not match grid {grid_h}x{grid_w}"
-            )
-        self.grid_h = grid_h
-        self.grid_w = grid_w
-        self.dim = data.shape[1]
-        self.data = data
-
-    @property
-    def n_tokens(self) -> int:
-        return self.grid_h * self.grid_w
-
-    def with_data(self, data: Tensor) -> "TokenMap":
-        return TokenMap(self.grid_h, self.grid_w, data)
 
 
 def _tile(a: np.ndarray, tile: int) -> np.ndarray:
@@ -73,7 +51,7 @@ class PatchEmbed:
         self.w = pset.add(f"{prefix}.w", (patch * patch, dim))
         self.b = pset.add(f"{prefix}.b", (dim,), init="zeros")
 
-    def __call__(self, img: np.ndarray) -> TokenMap:
+    def __call__(self, img: np.ndarray) -> Tensor:
         img = np.asarray(img)
         if img.ndim != 2:
             raise DimensionError(f"patch embedding expects a 2-d image, got {img.shape}")
@@ -81,7 +59,7 @@ class PatchEmbed:
         p = self.patch
         if h % p or w % p:
             raise DimensionError(f"patch {p} does not divide image {h}x{w}")
-        return TokenMap(h // p, w // p, linear(_tile(img, p), self.w, self.b))
+        return linear(_tile(img, p), self.w, self.b)
 
 
 class Mlp:
@@ -114,8 +92,8 @@ class MlpBlock:
     def __init__(self, pset: ParamSet, prefix: str, dim: int, hidden_ratio: int = 4):
         self.mlp = Mlp(pset, prefix, dim, hidden_ratio * dim)
 
-    def __call__(self, x: TokenMap) -> TokenMap:
-        return x.with_data(add(x.data, self.mlp(x.data)))
+    def __call__(self, x: Tensor) -> Tensor:
+        return add(x, self.mlp(x))
 
 
 class MixerBlock:
@@ -131,13 +109,13 @@ class MixerBlock:
         self.tok = Mlp(pset, f"{prefix}.tok", n_tokens, _token_hidden(n_tokens))
         self.ch = Mlp(pset, f"{prefix}.ch", dim, hidden_ratio * dim)
 
-    def __call__(self, x: TokenMap) -> TokenMap:
-        if x.n_tokens != self.n_tokens:
+    def __call__(self, x: Tensor) -> Tensor:
+        if x.shape[0] != self.n_tokens:
             raise DimensionError(
-                f"mixer block configured for {self.n_tokens} tokens, got {x.n_tokens}"
+                f"mixer block configured for {self.n_tokens} tokens, got {x.shape[0]}"
             )
-        y = add(x.data, transpose(self.tok(transpose(x.data))))
-        return x.with_data(add(y, self.ch(y)))
+        y = add(x, transpose(self.tok(transpose(x))))
+        return add(y, self.ch(y))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +179,7 @@ def relative_position_index(window: int) -> np.ndarray:
 
 
 class SwinCrossBlock:
-    """Windowed multi-head cross attention between two token maps.
+    """Windowed multi-head cross attention between two token tensors.
 
     Queries come from the moving-image features, keys and values from the
     fixed-image features. Attention runs twice, once on normal window
@@ -213,7 +191,8 @@ class SwinCrossBlock:
     the op splits the heads, so the block never handles them. The two
     outputs are summed, projected, skip-connected to the fixed features,
     and passed through a residual per-token MLP. The block is built for
-    one grid and rejects others.
+    one grid and width and raises :class:`~patchreg.gradcore.DimensionError`
+    unless both inputs are [grid_h * grid_w, dim].
     """
 
     def __init__(
@@ -266,15 +245,15 @@ class SwinCrossBlock:
         normal-layout key and value windows, merged back to row-major."""
         return layout.merge(window_attention(layout.split(q), k, v, bias, layout.mask, self.scale))
 
-    def __call__(self, fix: TokenMap, mov: TokenMap) -> TokenMap:
-        built = (self.grid_h, self.grid_w, self.dim)
-        if {(m.grid_h, m.grid_w, m.dim) for m in (fix, mov)} != {built}:
+    def __call__(self, fix: Tensor, mov: Tensor) -> Tensor:
+        built = (self.grid_h * self.grid_w, self.dim)
+        if fix.shape != built or mov.shape != built:
             raise DimensionError(
-                f"fixed and moving token maps must match the block's {self.grid_h}x{self.grid_w} "
-                f"grid of width {self.dim}"
+                f"fixed {fix.shape} and moving {mov.shape} tokens must both be {built} "
+                f"for the block's {self.grid_h}x{self.grid_w} grid"
             )
-        nk = layer_norm(fix.data, self.norm_fix_g, self.norm_fix_b)
-        nq = layer_norm(mov.data, self.norm_mov_g, self.norm_mov_b)
+        nk = layer_norm(fix, self.norm_fix_g, self.norm_fix_b)
+        nq = layer_norm(mov, self.norm_mov_g, self.norm_mov_b)
         k = self.normal.split(linear(nk, self.wk, self.bk))
         v = self.normal.split(linear(nk, self.wv, self.bv))
         q = linear(nq, self.wq, self.bq)
@@ -283,5 +262,5 @@ class SwinCrossBlock:
             self._attend(q, k, v, bias, self.normal),
             self._attend(q, k, v, bias, self.shifted),
         )
-        y = add(fix.data, linear(summed, self.wo, self.bo))
-        return fix.with_data(add(y, self.mlp(y)))
+        y = add(fix, linear(summed, self.wo, self.bo))
+        return add(y, self.mlp(y))

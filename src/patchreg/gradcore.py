@@ -794,12 +794,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.zero_grad()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import struct
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
@@ -25,7 +26,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import svf
-from .blocks import MixerBlock, MlpBlock, PatchEmbed, SwinCrossBlock, TokenMap
+from .blocks import MixerBlock, MlpBlock, PatchEmbed, SwinCrossBlock
 from .gradcore import (
     ContractError,
     DimensionError,
@@ -161,8 +162,8 @@ class ModelConfig:
                     )
                 if self.dim % s.heads:
                     raise ConfigError(f"dim {self.dim} not divisible by {s.heads} heads")
-            if s.weight < 0:
-                raise ConfigError("scale weights must be non-negative")
+            if not (math.isfinite(s.weight) and s.weight >= 0):
+                raise ConfigError(f"scale weights must be finite and non-negative, got {s.weight!r}")
 
 
 @dataclass
@@ -226,8 +227,9 @@ class ChildModel:
         self.head_w2 = pset.add(f"{prefix}.head.fc2.w", (cfg.dim, 2), init=head_w2_init)
         self.head_b2 = pset.add(f"{prefix}.head.fc2.b", (2,), init="zeros")
 
-    def extract_features(self, img) -> TokenMap:
-        """Shared-weight feature extractor; both streams call this."""
+    def extract_features(self, img) -> Tensor:
+        """Shared-weight feature extractor; both streams call this. Returns
+        [grid * grid, dim] row-major tokens."""
         t = self.embed(img)
         for block in self.extract:
             t = block(t)
@@ -241,10 +243,10 @@ class ChildModel:
             for block in self.cross:
                 t = block(fix_feat, t)
         else:
-            t = fix_feat.with_data(add(fix_feat.data, mov_feat.data))
+            t = add(fix_feat, mov_feat)
             for block in self.cross:
                 t = block(t)
-        h = linear(t.data, self.head_w1, self.head_b1)
+        h = linear(t, self.head_w1, self.head_b1)
         h = gelu(h)
         h = linear(h, self.head_w2, self.head_b2)
         v = reshape(h, (self.grid, self.grid, 2))

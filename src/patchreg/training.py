@@ -85,13 +85,6 @@ class AugmentationSpec:
             if not (math.isfinite(high - low) and low <= high) or (key == "crop_min_scale" and low <= 0):
                 raise ConfigError(f"train.augment.{key} must be {rule}, got {getattr(self, key)!r}")
 
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentationSpec":
-        return config_from_dict(cls, d, "train.augment")
-
 
 @dataclass
 class TrainConfig:

@@ -10,7 +10,6 @@ from patchreg.blocks import (
     MlpBlock,
     PatchEmbed,
     SwinCrossBlock,
-    TokenMap,
     WindowPartition,
     _tile as extract_patches,
     _token_hidden,
@@ -20,7 +19,7 @@ from patchreg.gradcore import DimensionError, ParamSet, Tensor, grad_check
 
 def rand_tokens(seed, gh, gw, dim, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    return TokenMap(gh, gw, Tensor(rng.normal(size=(gh * gw, dim)).astype(dtype)))
+    return Tensor(rng.normal(size=(gh * gw, dim)).astype(dtype))
 
 
 def randomize(pset: ParamSet, seed=0, scale=0.5):
@@ -57,14 +56,13 @@ def test_patch_embed_full_scale_shape():
     embed = PatchEmbed(ps, "e", patch=4, dim=128)
     img = np.random.default_rng(0).uniform(size=(128, 128)).astype(np.float32)
     tokens = embed(img)
-    assert (tokens.grid_h, tokens.grid_w, tokens.dim) == (32, 32, 128)
-    assert tokens.data.shape == (1024, 128)
+    assert tokens.shape == (32 * 32, 128)
 
 
 def test_patch_embed_constant_image_gives_identical_tokens():
     ps = ParamSet(1, dtype=np.float64)
     embed = PatchEmbed(ps, "e", patch=4, dim=8)
-    tokens = embed(np.full((16, 16), 0.37)).data.data
+    tokens = embed(np.full((16, 16), 0.37)).data
     assert np.allclose(tokens, tokens[0])
 
 
@@ -82,7 +80,7 @@ def test_patch_embed_equals_manual_tiling_plus_linear():
     embed = PatchEmbed(ps, "e", patch=4, dim=8)
     randomize(ps, seed=3)
     img = np.random.default_rng(4).uniform(size=(8, 8))
-    out = embed(img).data.data
+    out = embed(img).data
     manual = extract_patches(img, 4) @ embed.w.data + embed.b.data
     assert np.array_equal(out, manual)
 
@@ -104,7 +102,7 @@ def test_mlp_block_zeroed_second_linear_is_identity():
     block.mlp.w2.data[...] = 0.0
     x = rand_tokens(5, 3, 4, 6)
     out = block(x)
-    assert np.array_equal(out.data.data, x.data.data)
+    assert np.array_equal(out.data, x.data)
 
 
 def test_mlp_block_token_permutation_equivariance():
@@ -113,9 +111,9 @@ def test_mlp_block_token_permutation_equivariance():
     randomize(ps, 7)
     x = rand_tokens(8, 4, 4, 5)
     perm = np.random.default_rng(9).permutation(16)
-    out_then_perm = block(x).data.data[perm]
-    permuted_in = TokenMap(4, 4, Tensor(x.data.data[perm]))
-    perm_then_out = block(permuted_in).data.data
+    out_then_perm = block(x).data[perm]
+    permuted_in = Tensor(x.data[perm])
+    perm_then_out = block(permuted_in).data
     assert np.array_equal(out_then_perm, perm_then_out)
 
 
@@ -124,13 +122,13 @@ def test_mlp_block_matches_straight_line_recomposition():
     block = MlpBlock(ps, "b", dim=6)
     randomize(ps, 11)
     x = rand_tokens(12, 2, 3, 6)
-    out = block(x).data.data
-    t = np_layer_norm(x.data.data, block.mlp.norm_g.data, block.mlp.norm_b.data)
+    out = block(x).data
+    t = np_layer_norm(x.data, block.mlp.norm_g.data, block.mlp.norm_b.data)
     t = t @ block.mlp.w1.data + block.mlp.b1.data
     t = np_gelu(t)
     t = t @ block.mlp.w2.data + block.mlp.b2.data
-    assert np.array_equal(block.mlp(x.data).data, t)  # the branch, before the residual rounds
-    assert np.array_equal(out, x.data.data + t)
+    assert np.array_equal(block.mlp(x).data, t)  # the branch, before the residual rounds
+    assert np.array_equal(out, x.data + t)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def test_mixer_block_zeroed_second_linears_is_identity():
     block.tok.w2.data[...] = 0.0
     block.ch.w2.data[...] = 0.0
     x = rand_tokens(14, 3, 4, 5)
-    assert np.array_equal(block(x).data.data, x.data.data)
+    assert np.array_equal(block(x).data, x.data)
 
 
 def test_mixer_token_mixing_keeps_constant_rows_constant():
@@ -157,8 +155,8 @@ def test_mixer_token_mixing_keeps_constant_rows_constant():
     block.tok.b2.data[...] = 0.0
     block.ch.w2.data[...] = 0.0  # silence channel mixing to observe token sublayer
     row = np.random.default_rng(17).normal(size=4)
-    x = TokenMap(3, 3, Tensor(np.tile(row, (9, 1))))
-    out = block(x).data.data
+    x = Tensor(np.tile(row, (9, 1)))
+    out = block(x).data
     assert np.allclose(out, out[0])
 
 
@@ -167,14 +165,14 @@ def test_mixer_block_matches_straight_line_recomposition():
     block = MixerBlock(ps, "b", dim=5, n_tokens=16)
     randomize(ps, 19)
     x = rand_tokens(20, 4, 4, 5)
-    out = block(x).data.data
+    out = block(x).data
 
-    t = x.data.data.T
+    t = x.data.T
     t = np_layer_norm(t, block.tok.norm_g.data, block.tok.norm_b.data)
     t = t @ block.tok.w1.data + block.tok.b1.data
     t = np_gelu(t)
     t = t @ block.tok.w2.data + block.tok.b2.data
-    y = x.data.data + t.T
+    y = x.data + t.T
     t = np_layer_norm(y, block.ch.norm_g.data, block.ch.norm_b.data)
     t = t @ block.ch.w1.data + block.ch.b1.data
     t = np_gelu(t)
@@ -222,24 +220,24 @@ def test_partition_round_trip_bit_exact():
     for shifted in (False, True):
         x = rand_tokens(23, 4, 4, 5)
         part = WindowPartition(4, 4, 2, shifted)
-        merged = part.merge(part.split(x.data))
-        assert np.array_equal(merged.data, x.data.data)
+        merged = part.merge(part.split(x))
+        assert np.array_equal(merged.data, x.data)
 
 
 def test_partition_normal_4x4_window2_matches_enumeration():
     x = rand_tokens(24, 4, 4, 3)
     part = WindowPartition(4, 4, 2, False)
-    windows = part.split(x.data).data
+    windows = part.split(x).data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=False)):
-        assert np.array_equal(windows[wi], x.data.data[idxs])
+        assert np.array_equal(windows[wi], x.data[idxs])
 
 
 def test_partition_shifted_windows_match_enumeration():
     x = rand_tokens(25, 4, 4, 3)
     part = WindowPartition(4, 4, 2, True)
-    windows = part.split(x.data).data
+    windows = part.split(x).data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=True)):
-        assert np.array_equal(windows[wi], x.data.data[idxs])
+        assert np.array_equal(windows[wi], x.data[idxs])
 
 
 def test_shifted_mask_matches_brute_force_region_labels():
@@ -338,8 +336,8 @@ def test_swin_block_matches_dense_attention_oracle():
     randomize(ps, 31, scale=0.3)
     fix = rand_tokens(32, grid, grid, dim)
     mov = rand_tokens(33, grid, grid, dim)
-    out = block(fix, mov).data.data
-    ref = swin_reference(block, fix.data.data, mov.data.data, grid)
+    out = block(fix, mov).data
+    ref = swin_reference(block, fix.data, mov.data, grid)
     assert np.abs(out - ref).max() < 1e-5
 
 
@@ -350,8 +348,8 @@ def test_swin_block_whole_grid_window_matches_oracle():
     block = SwinCrossBlock(ps, "s", dim, grid, grid, window, heads)
     randomize(ps, 35, scale=0.3)
     x = rand_tokens(36, grid, grid, dim)
-    out = block(x, x).data.data
-    ref = swin_reference(block, x.data.data, x.data.data, grid)
+    out = block(x, x).data
+    ref = swin_reference(block, x.data, x.data, grid)
     assert np.abs(out - ref).max() < 1e-5
 
 
@@ -365,8 +363,8 @@ def test_swin_block_zero_values_reduces_to_residual_path():
     block.bo.data[...] = 0.0
     fix = rand_tokens(39, grid, grid, dim)
     mov = rand_tokens(40, grid, grid, dim)
-    out = block(fix, mov).data.data
-    y = fix.data.data
+    out = block(fix, mov).data
+    y = fix.data
     t = np_layer_norm(y, block.mlp.norm_g.data, block.mlp.norm_b.data)
     t = np_gelu(t @ block.mlp.w1.data + block.mlp.b1.data)
     expected = y + (t @ block.mlp.w2.data + block.mlp.b2.data)
@@ -382,21 +380,20 @@ def test_swin_block_permutation_equivariance_whole_grid():
     fix = rand_tokens(43, grid, grid, dim)
     mov = rand_tokens(44, grid, grid, dim)
     perm = np.random.default_rng(45).permutation(grid * grid)
-    base = block(fix, mov).data.data
+    base = block(fix, mov).data
     out_perm = block(
-        TokenMap(grid, grid, Tensor(fix.data.data[perm])),
-        TokenMap(grid, grid, Tensor(mov.data.data[perm])),
-    ).data.data
+        Tensor(fix.data[perm]),
+        Tensor(mov.data[perm]),
+    ).data
     assert np.allclose(base[perm], out_perm, atol=1e-10)
 
 
 def test_swin_block_rejects_wrong_grid():
-    # 2x8 has the 4x4 grid's token count and is divisible by the window,
-    # so only the grid check stops the built layouts permuting it
+    # the 32 tokens of a 4x8 grid, and 16 tokens of the wrong width
     ps = ParamSet(46, dtype=np.float64)
     block = SwinCrossBlock(ps, "s", 8, 4, 4, window=2, heads=2)
     good = rand_tokens(47, 4, 4, 8)
-    for bad in (rand_tokens(48, 2, 8, 8), rand_tokens(49, 4, 8, 8)):
+    for bad in (rand_tokens(48, 4, 8, 8), rand_tokens(49, 4, 4, 6)):
         for fix, mov in ((bad, bad), (good, bad), (bad, good)):
             with pytest.raises(DimensionError):
                 block(fix, mov)
@@ -453,13 +450,13 @@ def head_layout_swin(block, fix, mov):
 
     bias = gc.reshape(gc.gather_rows(block.bias_table, block._rel_index), (wsq, wsq, heads))
     bias = gc.transpose(bias, (2, 0, 1))
-    nk = gc.layer_norm(fix.data, block.norm_fix_g, block.norm_fix_b)
-    nq = gc.layer_norm(mov.data, block.norm_mov_g, block.norm_mov_b)
+    nk = gc.layer_norm(fix, block.norm_fix_g, block.norm_fix_b)
+    nq = gc.layer_norm(mov, block.norm_mov_g, block.norm_mov_b)
     k = heads_split(gc.linear(nk, block.wk, block.bk), block.normal)
     v = heads_split(gc.linear(nk, block.wv, block.bv), block.normal)
     q = gc.linear(nq, block.wq, block.bq)
     summed = gc.add(attend(q, k, v, bias, block.normal), attend(q, k, v, bias, block.shifted))
-    y = gc.add(fix.data, gc.linear(summed, block.wo, block.bo))
+    y = gc.add(fix, gc.linear(summed, block.wo, block.bo))
     return gc.add(y, block.mlp(y))
 
 
@@ -472,7 +469,7 @@ def head_layout_swin(block, fix, mov):
 def test_swin_block_bit_exact_to_head_layout_oracle(dtype, grid_h, grid_w, window, heads, dim):
     readout = np.random.default_rng(64).normal(size=(grid_h * grid_w, dim)).astype(dtype)
     results = []
-    for forward in (lambda block, fix, mov: block(fix, mov).data, head_layout_swin):
+    for forward in (lambda block, fix, mov: block(fix, mov), head_layout_swin):
         ps = ParamSet(60, dtype=dtype)
         block = SwinCrossBlock(ps, "s", dim, grid_h, grid_w, window, heads)
         randomize(ps, 61, scale=0.3)
@@ -480,7 +477,7 @@ def test_swin_block_bit_exact_to_head_layout_oracle(dtype, grid_h, grid_w, windo
         mov = rand_tokens(63, grid_h, grid_w, dim, dtype)
         out = forward(block, fix, mov)
         gc.backward(gc.sum_all(gc.mul(out, readout)))
-        grads = [fix.data.grad, mov.data.grad] + [t.grad for _, t in ps.items()]
+        grads = [fix.grad, mov.grad] + [t.grad for _, t in ps.items()]
         results.append([out.data] + grads)
     assert (block.shifted is block.normal) == (window == min(grid_h, grid_w))
     names = ["out", "fix", "mov"] + ps.names()
@@ -505,20 +502,20 @@ def test_blocks_pass_grad_check(kind):
     if kind == "embed":
         block = PatchEmbed(ps, "e", patch=4, dim=dim)
         img = np.random.default_rng(51).uniform(size=(16, 16))
-        f = lambda params: scalar_readout(block(img).data)
+        f = lambda params: scalar_readout(block(img))
     elif kind == "mlp":
         block = MlpBlock(ps, "b", dim)
         x = rand_tokens(52, grid, grid, dim)
-        f = lambda params: scalar_readout(block(x).data)
+        f = lambda params: scalar_readout(block(x))
     elif kind == "mixer":
         block = MixerBlock(ps, "b", dim, n_tokens=grid * grid)
         x = rand_tokens(53, grid, grid, dim)
-        f = lambda params: scalar_readout(block(x).data)
+        f = lambda params: scalar_readout(block(x))
     else:
         block = SwinCrossBlock(ps, "s", dim, grid, grid, window=2, heads=2)
         fix = rand_tokens(54, grid, grid, dim)
         mov = rand_tokens(55, grid, grid, dim)
-        f = lambda params: scalar_readout(block(fix, mov).data)
+        f = lambda params: scalar_readout(block(fix, mov))
     randomize(ps, 56, scale=0.3)
     report = grad_check(f, ps, n_probes=25, step=1e-5, seed=57)
     assert report.max_rel_err < 1e-4

@@ -161,6 +161,11 @@ _SYNTH_DATA = {"manifest": "data/manifest.csv", "val_split": "train"}
 _ONE_EPOCH = {"max_epochs": 1, "patience": 0}
 
 
+def _weighted(weight):
+    """A one-scale desk model; NaN < 0 is False, so a NaN weight needs its own check."""
+    return {"preset": "pure_mlp_desk", "scales": [{"patch": 4, "weight": weight}]}
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -175,9 +180,12 @@ _ONE_EPOCH = {"max_epochs": 1, "patience": 0}
         {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": {**_SYNTH_DATA, "bogus": 1}},
         {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": _SYNTH_DATA, "bogus": 1},
         {"model": {"preset": "pure_mlp_desk", "integration_steps": 0}, "train": _ONE_EPOCH, "data": _SYNTH_DATA},
+        {"model": _weighted(math.nan), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
+        {"model": _weighted(math.inf), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
     ],
     ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
-         "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "steps-zero"],
+         "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "steps-zero",
+         "weight-nan", "weight-inf"],
 )
 def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)

@@ -316,8 +316,8 @@ def test_extractor_weights_are_shared_between_streams(pair32):
     for name in model.params.names():
         assert "fix" not in name.split(".")[0] and "mov" not in name.split(".")[0]
     img = pair32.fix.astype(np.float32)
-    a = child.extract_features(img).data.data
-    b = child.extract_features(img).data.data
+    a = child.extract_features(img).data
+    b = child.extract_features(img).data
     assert np.array_equal(a, b)
 
 
