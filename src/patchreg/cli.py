@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ def _resolve_model_config(section) -> models.ModelConfig:
         raise ConfigError(f"model must be a JSON object, got {type(section).__name__}")
     overrides = dict(section)
     base = preset(overrides.pop("preset")) if "preset" in overrides else models.ModelConfig()
-    cfg = models.ModelConfig.from_dict({**base.to_dict(), **overrides})
+    cfg = models.ModelConfig.from_dict({**models.config_to_dict(base), **overrides})
     cfg.validate()
     return cfg
 
@@ -53,7 +53,7 @@ def cmd_train(args) -> int:
         if key not in ("model", "train", "data"):
             raise ConfigError(f"config has unknown section {key!r}")
     model_cfg = _resolve_model_config(raw.get("model", {}))
-    train_cfg = TrainConfig.from_dict(raw.get("train", {}))
+    train_cfg = models.config_from_dict(TrainConfig, raw.get("train", {}), "train")
     data = models.config_from_dict(DataConfig, raw.get("data", {}), "data")
     data.manifest = str((Path(args.config).parent / data.manifest).resolve())
     if args.seed is not None:
@@ -64,8 +64,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved = {
-        "model": model_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
+        "model": models.config_to_dict(model_cfg),
+        "train": models.config_to_dict(train_cfg),
         "data": models.config_to_dict(data),
     }
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
@@ -116,12 +116,7 @@ def cmd_register(args) -> int:
     )
     summary = {
         "inverse_consistency_residual_px": residual,
-        "jacobian": {
-            "mean": stats.mean,
-            "std": stats.std,
-            "min": stats.min,
-            "neg_frac": stats.neg_frac,
-        },
+        "jacobian": asdict(stats),
         "mse_warped": float(((warped - fix) ** 2).mean()),
         "mse_identity": float(((mov - fix) ** 2).mean()),
     }

@@ -85,15 +85,26 @@ def _parse_pgm(path) -> tuple[np.ndarray, int]:
         raise PgmParseError(f"{path}: bad dimensions {width}x{height}")
     if maxval < 1 or maxval > 65535:
         raise PgmParseError(f"{path}: maxval {maxval} out of range")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    dtype = _sample_dtype(maxval)
     need = width * height * dtype.itemsize
     payload = data[offset : offset + need]
     if len(payload) != need:
         raise PgmParseError(
             f"{path}: expected {need} payload bytes at byte {offset}, got {len(payload)}"
         )
-    raw = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return raw.astype(np.float64), maxval
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width), maxval
+
+
+def _sample_dtype(maxval: int) -> np.dtype:
+    """One byte per sample up to maxval 255, else two, most significant first."""
+    return np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+
+
+def _write_p5(samples: np.ndarray, path, maxval: int) -> None:
+    """Write integer-valued samples in 0..maxval as binary PGM."""
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{samples.shape[1]} {samples.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(samples.astype(_sample_dtype(maxval)).tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -105,11 +116,7 @@ def read_pgm(path) -> np.ndarray:
 def write_pgm(img: np.ndarray, path, maxval: int = 255) -> None:
     """Write [0, 1] intensities as binary PGM. Round-trips 8-bit data exactly."""
     img = np.asarray(img, dtype=np.float64)
-    quant = np.clip(np.round(img * maxval), 0, maxval)
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii"))
-        fh.write(quant.astype(dtype).tobytes())
+    _write_p5(np.clip(np.round(img * maxval), 0, maxval), path, maxval)
 
 
 def read_mask(path) -> np.ndarray:
@@ -119,10 +126,11 @@ def read_mask(path) -> np.ndarray:
 
 
 def write_mask(mask: np.ndarray, path) -> None:
+    """Write labels 0..255 as their literal PGM sample values."""
     mask = np.asarray(mask)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode("ascii"))
-        fh.write(mask.astype("u1").tobytes())
+    if not (mask.min() >= 0 and mask.max() <= 255):
+        raise ValueError(f"{path}: mask labels must lie in 0..255, got {mask.min()}..{mask.max()}")
+    _write_p5(mask, path, 255)
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +253,35 @@ class ImagePair:
     mov: np.ndarray
 
 
+def _split_records(manifest_path, split: str) -> list[PairRecord]:
+    return [rec for rec in load_manifest(manifest_path) if rec.split == split]
+
+
 def load_image_pairs(manifest_path, split: str, size: int) -> list[ImagePair]:
     """Training-ready (fixed=ED, moving=ES) image pairs from one split."""
-    pairs = []
-    for rec in load_manifest(manifest_path):
-        if rec.split != split:
-            continue
-        fix = resize_image(read_pgm(rec.ed_image), size)
-        mov = resize_image(read_pgm(rec.es_image), size)
-        pairs.append(ImagePair(rec.pair_id, fix, mov))
-    return pairs
+    return [
+        ImagePair(
+            rec.pair_id,
+            resize_image(read_pgm(rec.ed_image), size),
+            resize_image(read_pgm(rec.es_image), size),
+        )
+        for rec in _split_records(manifest_path, split)
+    ]
 
 
 def load_eval_pairs(manifest_path, split: str, size: int) -> list[EvalPair]:
     """Evaluation records (images plus masks where present) from one split."""
-    out = []
-    for rec in load_manifest(manifest_path):
-        if rec.split != split:
-            continue
-        out.append(
-            EvalPair(
-                pair_id=rec.pair_id,
-                ed_image=resize_image(read_pgm(rec.ed_image), size),
-                es_image=resize_image(read_pgm(rec.es_image), size),
-                ed_mask=resize_mask(read_mask(rec.ed_mask), size) if rec.ed_mask else None,
-                es_mask=resize_mask(read_mask(rec.es_mask), size) if rec.es_mask else None,
-                spacing_mm=rec.spacing_mm,
-            )
+    return [
+        EvalPair(
+            pair_id=rec.pair_id,
+            ed_image=resize_image(read_pgm(rec.ed_image), size),
+            es_image=resize_image(read_pgm(rec.es_image), size),
+            ed_mask=resize_mask(read_mask(rec.ed_mask), size) if rec.ed_mask else None,
+            es_mask=resize_mask(read_mask(rec.es_mask), size) if rec.es_mask else None,
+            spacing_mm=rec.spacing_mm,
         )
-    return out
+        for rec in _split_records(manifest_path, split)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,8 @@ def synth_pair(seed: int, size: int = 64, max_disp: float = 3.0) -> SynthPair:
     """
     if size < 16:
         raise ValueError("synthetic pairs need size >= 16")
-    if max_disp >= size / 8:
-        raise ValueError("max_disp must stay below size/8")
+    if not 0 <= max_disp < size / 8:
+        raise ValueError(f"max_disp must lie in [0, size/8), got {max_disp!r}")
     rng = np.random.default_rng(seed)
 
     cy = size * rng.uniform(0.42, 0.48)

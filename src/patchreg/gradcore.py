@@ -107,8 +107,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype.type not in _FLOAT_TYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -145,9 +145,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
-    def backward(self) -> None:
-        backward(self)
-
 
 def _node(data, parents, backward_fn) -> Tensor:
     """An op's output. A constant parent's edge is None, so ``backward_fn``'s
@@ -163,11 +160,11 @@ def _node(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     """``x`` if it is a Tensor, else ``x`` wrapped as a constant."""
     if isinstance(x, Tensor):
         return x
-    t = Tensor(x, dtype=dtype)
+    t = Tensor(x)
     t.requires_grad = False
     return t
 
@@ -369,14 +366,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _LN_EPS = 1e-5
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x̂, mean and 1/σ of the last axis: x̂ = (x - mean) * (1 / sqrt(var +
-    eps)), with the biased variance. x̂ is a new array in ``x``'s memory
+    _LN_EPS)), with the biased variance. x̂ is a new array in ``x``'s memory
     layout; :func:`_renormalize` rebuilds it bit for bit from ``x``, the
     mean and 1/σ, so a graph node keeps those two instead of x̂."""
     mean = x.mean(axis=-1, keepdims=True)
     xhat = x - mean
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv
     return xhat, mean, inv
 
@@ -422,7 +419,7 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: n
     return h, ggamma, gbeta
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (biased
     estimator), then scale and shift. The node keeps the mean and 1/σ
     of each row, not x̂."""
@@ -432,9 +429,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
         raise DimensionError(
             f"layer_norm: scale/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    if eps <= 0:
-        raise ContractError("layer_norm: eps must be positive")
-    data, mean, inv = _normalize(x.data, eps)
+    data, mean, inv = _normalize(x.data)
     data *= gamma.data  # x̂ is rebuilt in the backward
     data += beta.data
 
@@ -590,11 +585,11 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     """Pre-norm MLP branch ``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2`` as one node.
 
     ``x`` is ``[n, d]`` and may be a transposed view; the normalisation
-    runs over its last axis, as :func:`layer_norm` with its default
-    ``eps``, and :func:`gelu` is the tanh approximation. Every step is
-    the arithmetic of that composite chain in the same order, updated in
-    place where the chain would allocate a fresh array, so values and
-    gradients are bit-identical to it.
+    runs over its last axis, as :func:`layer_norm`, and :func:`gelu` is
+    the tanh approximation. Every step is the arithmetic of that
+    composite chain in the same order, updated in place where the chain
+    would allocate a fresh array, so values and gradients are
+    bit-identical to it.
 
     Each product is one whole-matrix BLAS call, and the elementwise
     chains between them (bias add, tanh, gelu, its slope, the x̂ and
@@ -628,7 +623,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
         raise DimensionError(f"mlp_branch: fc2 {w2.shape} + {b2.shape} does not fit hidden width {hidden}")
     xd, gd, bd, w1d, b1d, w2d, b2d = (t.data for t in ops)
     keep = _GRAD_MODE.enabled and any(t.requires_grad for t in ops)  # else the output is a constant
-    y, mean, inv = _normalize(xd, _LN_EPS)  # keeps a transposed input's layout
+    y, mean, inv = _normalize(xd)  # keeps a transposed input's layout
     y *= gd  # x̂ and y are rebuilt in the backward
     y += bd
     h = y @ w1d

@@ -4,7 +4,9 @@ interest, and nearest-neighbor label-mask warping.
 
 Labels follow the project convention 0 background, 1 left-ventricle
 endocardium, 2 myocardium, 3 left atrium. Distances are in pixels at the
-evaluation resolution unless a pixel spacing is supplied.
+evaluation resolution unless a pixel spacing is supplied. A pixel is
+folded when its Jacobian determinant is not ``> 0``: zero, negative or
+NaN. The fold fraction ``neg_frac`` is the share of folded pixels.
 """
 
 from __future__ import annotations
@@ -95,18 +97,17 @@ class JacobianStats:
     std: float
     min: float
     neg_frac: float
-    defined: bool = True
 
     @classmethod
     def of(cls, values: np.ndarray) -> "JacobianStats":
-        """Statistics of determinant values; undefined when there are none."""
+        """Statistics of determinant values; all NaN when there are none."""
         if values.size == 0:
-            return cls(math.nan, math.nan, math.nan, math.nan, defined=False)
+            return cls(math.nan, math.nan, math.nan, math.nan)
         return cls(
             mean=float(values.mean()),
             std=float(values.std()),
             min=float(values.min()),
-            neg_frac=float((values <= 0).mean()),
+            neg_frac=float((~(values > 0)).mean()),
         )
 
 
@@ -160,18 +161,9 @@ class StructureRow:
 
 
 @dataclass
-class JacobianRow:
-    pair_id: str
-    mean: float
-    std: float
-    min: float
-    neg_frac: float
-
-
-@dataclass
 class EvalReport:
     rows: list[StructureRow] = field(default_factory=list)
-    jacobian_rows: list[JacobianRow] = field(default_factory=list)
+    jacobian_rows: list[tuple[str, JacobianStats]] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     pooled_jacobian: list[float] = field(default_factory=list)
 
@@ -186,11 +178,12 @@ class EvalReport:
                 vals = vals[np.isfinite(vals)]
                 entry[metric] = _summary(vals)
             out["structures"][label_name] = entry
-        per_patient_mean = np.array([r.mean for r in self.jacobian_rows if math.isfinite(r.mean)])
+        stats = [s for _, s in self.jacobian_rows]
+        per_patient_mean = np.array([s.mean for s in stats if math.isfinite(s.mean)])
         out["jacobian"]["per_patient_mean"] = _summary(per_patient_mean)
         pooled = np.array(self.pooled_jacobian, dtype=np.float64)
         out["jacobian"]["pooled"] = _summary(pooled)
-        neg = np.array([r.neg_frac for r in self.jacobian_rows if math.isfinite(r.neg_frac)])
+        neg = np.array([s.neg_frac for s in stats if math.isfinite(s.neg_frac)])
         out["jacobian"]["neg_frac"] = _summary(neg)
         return out
 
@@ -205,8 +198,8 @@ class EvalReport:
         with open(out_dir / "jacobian.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pair_id", "jac_mean", "jac_std", "jac_min", "jac_neg_frac"])
-            for r in self.jacobian_rows:
-                writer.writerow([r.pair_id, _fmt(r.mean), _fmt(r.std), _fmt(r.min), _fmt(r.neg_frac)])
+            for pair_id, s in self.jacobian_rows:
+                writer.writerow([pair_id, _fmt(s.mean), _fmt(s.std), _fmt(s.min), _fmt(s.neg_frac)])
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(self.aggregate(), fh, indent=2, sort_keys=True)
         if self.skipped:
@@ -349,15 +342,16 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
     workers = min(threads, len(pairs))
 
     def one(pair: EvalPair):
+        """(structure rows, Jacobian stats, determinants), or a skip reason."""
         if pair.ed_mask is None or pair.es_mask is None:
-            return ("skip", pair.pair_id, "missing mask")
+            return "missing mask"
         if pair.disp_forward is not None:
             disp = pair.disp_forward
         elif model is not None:
             with no_grad():
                 disp = model.displacement(model.fused_velocity(pair.ed_image, pair.es_image))
         else:
-            return ("skip", pair.pair_id, "no model and no precomputed field")
+            return "no model and no precomputed field"
         warped = warp_mask(pair.es_mask, disp)
         spacing = pair.spacing_mm if pair.spacing_mm else 1.0
         rows = []
@@ -370,20 +364,18 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
             rows.append(StructureRow(pair.pair_id, LABEL_NAMES[label], d, hd, msd))
         # dice checked ed_mask against the field's shape
         values = jacobian_determinant(disp)[np.asarray(pair.ed_mask) == MYOCARDIUM]
-        stats = JacobianStats.of(values)
-        jrow = JacobianRow(pair.pair_id, stats.mean, stats.std, stats.min, stats.neg_frac)
-        return ("ok", rows, jrow, values.tolist())
+        return rows, JacobianStats.of(values), values
 
     report = EvalReport()
     scope = _one_blas_thread() if workers > 1 else contextlib.nullcontext()
     with scope, ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         outcomes = list(pool.map(one, pairs))
-    for outcome in outcomes:
-        if outcome[0] == "skip":
-            report.skipped.append((outcome[1], outcome[2]))
-        else:
-            _, rows, jrow, pooled = outcome
-            report.rows.extend(rows)
-            report.jacobian_rows.append(jrow)
-            report.pooled_jacobian.extend(pooled)
+    for pair, outcome in zip(pairs, outcomes):
+        if isinstance(outcome, str):
+            report.skipped.append((pair.pair_id, outcome))
+            continue
+        rows, stats, values = outcome
+        report.rows.extend(rows)
+        report.jacobian_rows.append((pair.pair_id, stats))
+        report.pooled_jacobian.extend(values.tolist())
     return report

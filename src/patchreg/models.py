@@ -25,7 +25,6 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import svf
 from .blocks import MixerBlock, MlpBlock, PatchEmbed, SwinCrossBlock
 from .gradcore import (
     ContractError,
@@ -36,6 +35,7 @@ from .gradcore import (
     cmul,
     gelu,
     linear,
+    neg,
     reshape,
     transpose,
 )
@@ -124,9 +124,6 @@ class ModelConfig:
     integration_steps: int = 7
     hidden_ratio: int = 4
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -328,7 +325,7 @@ class RegistrationModel:
         return RegistrationResult(
             velocity=v,
             disp_forward=self.displacement(v),
-            disp_inverse=self.displacement(svf.negate_field(v)),
+            disp_inverse=self.displacement(VectorField(neg(v.data), v.kind)),
         )
 
 
@@ -399,7 +396,7 @@ def save_checkpoint(model: RegistrationModel, path) -> None:
     )
     header = {
         "format_version": 1,
-        "config": model.config.to_dict(),
+        "config": config_to_dict(model.config),
         "params": [[n, list(model.params[n].shape)] for n in names],
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -438,6 +435,8 @@ def load_checkpoint(path, dtype=np.float32) -> RegistrationModel:
         for name, shape in header["params"]:
             n = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name!r} holds non-finite values")
             arrays[name] = arr.reshape(shape)
             offset += n * 4
         if offset != len(payload):

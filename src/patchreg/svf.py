@@ -39,7 +39,6 @@ from .gradcore import (
     add,
     as_tensor,
     cmul,
-    neg,
 )
 from .filters import gaussian_blur
 
@@ -305,10 +304,6 @@ def mean_interior_magnitude(field: VectorField, margin: int = 1) -> float:
     return float(np.sqrt(core[0] ** 2 + core[1] ** 2).mean())
 
 
-def negate_field(f: VectorField) -> VectorField:
-    return VectorField(neg(f.data), f.kind)
-
-
 def random_smooth_velocity(
     seed: int, h: int, w: int, max_magnitude: float, sigma: float | None = None
 ) -> VectorField:
@@ -345,8 +340,7 @@ def write_field(f: VectorField, path) -> None:
     code = _CODE_FOR[arr.dtype]
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIII", _MAGIC, f.height, f.width, code))
-        fh.write(np.ascontiguousarray(arr[0], dtype=_DTYPE_CODES[code]).tobytes())
-        fh.write(np.ascontiguousarray(arr[1], dtype=_DTYPE_CODES[code]).tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
 
 
 def read_field(path) -> VectorField:

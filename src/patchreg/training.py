@@ -27,7 +27,6 @@ from .gradcore import (
     sub,
 )
 from .models import ConfigError, RegistrationModel, RegistrationResult, save_checkpoint
-from .models import config_from_dict, config_to_dict
 from .svf import VectorField, aligned_grid, identity_grid, sample, warp_image
 
 AUGMENT_PROB = 0.5  # per-transform apply probability, fixed
@@ -114,13 +113,6 @@ class TrainConfig:
     @property
     def dtype(self):
         return np.float32 if self.precision == "f32" else np.float64
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return config_from_dict(cls, d, "train")
 
 
 class TrainingDiverged(RuntimeError):

@@ -362,8 +362,8 @@ def test_criterion_8_training_determinism(tmp_path):
 
 def test_criterion_9_config_fidelity():
     snapshot = {
-        "model_presets": {name: preset(name).to_dict() for name in models.PRESET_NAMES},
-        "train_defaults": TrainConfig().to_dict(),
+        "model_presets": {name: models.config_to_dict(preset(name)) for name in models.PRESET_NAMES},
+        "train_defaults": models.config_to_dict(TrainConfig()),
     }
     golden = json.loads(GOLDEN.read_text())
     assert snapshot == golden

@@ -57,6 +57,13 @@ def test_synth_writes_five_files_plus_manifest(synth_dir):
     assert len(records) == 1 and records[0].split == "train"
 
 
+@pytest.mark.parametrize("max_disp", ["-2", "nan"])
+def test_synth_max_disp_outside_range_exit_2(tmp_path, max_disp):
+    rc, err = run_cli(["synth", "--max-disp", max_disp, "--out", str(tmp_path / "s")])
+    assert_one_line_error(rc, err, 2)
+    assert "max_disp" in err
+
+
 def test_synth_same_seed_identical_tree(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -550,6 +557,26 @@ def test_evaluate_missing_mask_skipped_exit_0(tmp_path):
     assert rc == 0
     assert len(read_log(out / "jacobian.csv")) == 2
     assert "e001" in (out / "skipped.log").read_text()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_checkpoint_weight_exit_3(tmp_path, value):
+    """A weight that is not finite fails at load, although its hash is valid."""
+    model = init_model(preset("pure_mlp_desk"))
+    names = model.params.names()
+    model.params[names[len(names) // 2]].data.flat[0] = value
+    ckpt = tmp_path / "bad.prck"
+    save_checkpoint(model, ckpt)
+    manifest = make_eval_manifest(tmp_path, n=1)
+    data = manifest.parent
+    for argv in (
+        ["register", "--fix", str(data / "e000_ed.pgm"), "--mov", str(data / "e000_es.pgm"),
+         "--out", str(tmp_path / "reg")],
+        ["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "eval")],
+    ):
+        rc, err = run_cli(argv + ["--checkpoint", str(ckpt)])
+        assert_one_line_error(rc, err, 3)
+        assert "non-finite" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -81,10 +81,21 @@ def test_pgm_sixteen_bit_write_round_trip(tmp_path):
 
 
 def test_mask_round_trip(tmp_path):
-    mask = np.random.default_rng(1).integers(0, 4, size=(11, 7))
     path = tmp_path / "m.pgm"
-    write_mask(mask, path)
-    assert np.array_equal(read_mask(path), mask)
+    every_byte = np.arange(256).reshape(16, 16)
+    for mask in (np.random.default_rng(1).integers(0, 4, size=(11, 7)), every_byte):
+        write_mask(mask, path)
+        back = read_mask(path)
+        assert back.dtype == np.int64 and np.array_equal(back, mask)
+
+
+@pytest.mark.parametrize("label", [256, -1])
+def test_write_mask_rejects_labels_outside_a_byte(tmp_path, label):
+    mask = np.zeros((4, 4), dtype=np.int64)
+    mask[1, 2] = label
+    with pytest.raises(ValueError, match="0..255"):
+        write_mask(mask, tmp_path / "m.pgm")
+    assert not (tmp_path / "m.pgm").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +257,9 @@ def test_synth_guards():
         synth_pair(0, size=8)
     with pytest.raises(ValueError):
         synth_pair(0, size=32, max_disp=10.0)
+    for max_disp in (-2.0, float("nan")):
+        with pytest.raises(ValueError, match="max_disp"):
+            synth_pair(0, size=64, max_disp=max_disp)
 
 
 # ---------------------------------------------------------------------------

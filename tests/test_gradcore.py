@@ -135,10 +135,9 @@ def test_layer_norm_constant_row_maps_to_zero():
 
 
 def test_layer_norm_already_normalized():
-    out = layer_norm(
-        Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12
-    )
-    assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+    out = layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+    # unit variance, so only the fixed eps (1e-5) moves the values
+    assert np.allclose(out.data, [[1.0, -1.0]] / np.sqrt(1.0 + 1e-5), rtol=0, atol=1e-12)
 
 
 def test_layer_norm_finite_difference():

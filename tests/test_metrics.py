@@ -12,6 +12,7 @@ from patchreg import dataio, metrics, models
 from patchreg.metrics import (
     EmptyStructureError,
     EvalPair,
+    JacobianStats,
     boundary_pixels,
     dice,
     endpoint_error,
@@ -193,7 +194,6 @@ def test_boundary_includes_image_border():
 def test_jacobian_stats_zero_field():
     roi = np.ones((10, 10), dtype=int)
     s = jacobian_stats(const_disp(10, 10, 0, 0), roi, 1)
-    assert s.defined
     assert s.mean == pytest.approx(1.0)
     assert s.std == pytest.approx(0.0)
     assert s.min == pytest.approx(1.0)
@@ -212,8 +212,20 @@ def test_jacobian_stats_linear_expansion():
 
 def test_jacobian_stats_empty_roi_is_undefined():
     s = jacobian_stats(const_disp(8, 8, 0, 0), np.zeros((8, 8), dtype=int), 2)
-    assert not s.defined
-    assert math.isnan(s.mean)
+    assert all(math.isnan(v) for v in dataclasses.astuple(s))
+
+
+def test_jacobian_stats_counts_a_nan_determinant_as_folded():
+    disp = const_disp(8, 8, 0, 0)
+    disp.array[0, 3, 3] = np.nan  # np.gradient spreads it to the 4-neighbours
+    s = jacobian_stats(disp, np.ones((8, 8), dtype=int), 1)
+    assert s.neg_frac == 4 / 64
+    assert math.isnan(s.mean) and math.isnan(s.min)
+
+
+def test_jacobian_stats_fold_fraction_bits_on_finite_values():
+    values = np.random.default_rng(0).normal(1.0, 0.8, size=1000)
+    assert JacobianStats.of(values).neg_frac == float((values <= 0).mean())
 
 
 def test_endpoint_error_on_foreground():
@@ -253,7 +265,7 @@ def test_report_row_count_matches_pairs(zero_model):
     report = evaluate_pairs(zero_model, pairs, threads=2)
     assert len(report.jacobian_rows) == len(pairs)
     assert len(report.rows) == 3 * len(pairs)
-    assert [r.pair_id for r in report.jacobian_rows] == [p.pair_id for p in pairs]
+    assert [pair_id for pair_id, _ in report.jacobian_rows] == [p.pair_id for p in pairs]
 
 
 def test_missing_mask_pairs_are_skipped(zero_model):
@@ -330,7 +342,7 @@ def moving_eval_pairs(n):
 def report_fields(report):
     return (
         [dataclasses.astuple(r) for r in report.rows],
-        [dataclasses.astuple(r) for r in report.jacobian_rows],
+        [(pair_id, dataclasses.astuple(s)) for pair_id, s in report.jacobian_rows],
         report.skipped,
         report.pooled_jacobian,
     )

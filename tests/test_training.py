@@ -512,5 +512,5 @@ def test_train_config_validation():
 
 def test_train_config_round_trip():
     cfg = TrainConfig(lr=3e-4, augment=AugmentationSpec(rotate=False))
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = models.config_from_dict(TrainConfig, models.config_to_dict(cfg), "train")
     assert again == cfg
