@@ -2,10 +2,10 @@
 token/channel mixing block, windowed cross-attention block.
 
 Tokens are a plain :class:`~patchreg.gradcore.Tensor` of shape
-[grid_h * grid_w, dim] in row-major grid order (row i, column j ->
-index i*grid_w + j); the window partition relies on that order. Each
-block is built for its grid and checks the token count (and, for cross
-attention, the width) it is given. Blocks are pure functions of
+[grid * grid, dim] in row-major order over a square grid (row i,
+column j -> index i*grid + j); the window partition relies on that
+order. Each block is built for its grid and checks the token count
+(and, for cross attention, the width) it is given. Blocks are pure functions of
 (inputs, params) and pre-norm residual throughout. All three block
 kinds end in the same sub-layer, the pre-norm MLP branch :class:`Mlp`
 ``fc2(gelu(fc1(norm(x))))``, which is one fused op,
@@ -122,21 +122,17 @@ class MixerBlock:
 # window partitioning
 
 
-def _region_labels(grid_h: int, grid_w: int, window: int) -> np.ndarray:
+def _region_labels(grid: int, window: int) -> np.ndarray:
     """Label the 9 rectangles that stay contiguous under the half-window roll."""
-    s = window // 2
-
-    def bands(n: int) -> np.ndarray:
-        return np.digitize(np.arange(n), (n - window, n - s))
-
-    return bands(grid_h)[:, None] * 3 + bands(grid_w)[None, :]
+    bands = np.digitize(np.arange(grid), (grid - window, grid - window // 2))
+    return bands[:, None] * 3 + bands[None, :]
 
 
 class WindowPartition:
-    """Window geometry of a grid_h x grid_w token grid.
+    """Window geometry of a square grid x grid token grid.
 
     ``perm`` [n_windows, window**2] lists the row-major tokens of each
-    window; ``inv`` [grid_h*grid_w] gives each token's place in the
+    window; ``inv`` [grid*grid] gives each token's place in the
     windows read in order. The shifted variant rolls the grid cyclically
     by half a window in both axes first, and its ``mask`` is the additive
     attention mask [n_windows, window**2, window**2]: 0 where both tokens
@@ -146,21 +142,21 @@ class WindowPartition:
     :func:`~patchreg.gradcore.window_attention` as they are.
     """
 
-    def __init__(self, grid_h: int, grid_w: int, window: int, shifted: bool):
-        if grid_h % window or grid_w % window:
-            raise DimensionError(f"window {window} does not divide grid {grid_h}x{grid_w}")
-        idx = np.arange(grid_h * grid_w, dtype=np.intp).reshape(grid_h, grid_w)
+    def __init__(self, grid: int, window: int, shifted: bool):
+        if grid % window:
+            raise DimensionError(f"window {window} does not divide grid {grid}x{grid}")
+        idx = np.arange(grid * grid, dtype=np.intp).reshape(grid, grid)
         if shifted:
             idx = np.roll(idx, (-(window // 2), -(window // 2)), axis=(0, 1))
         self.perm = _tile(idx, window)
         self.inv = np.argsort(self.perm, axis=None)
         self.mask = None
         if shifted:
-            labels = _region_labels(grid_h, grid_w, window).reshape(-1)[self.perm]
+            labels = _region_labels(grid, window).reshape(-1)[self.perm]
             self.mask = np.where(labels[:, :, None] == labels[:, None, :], 0.0, -np.inf)
 
     def split(self, tokens: Tensor) -> Tensor:
-        """Row-major [grid_h*grid_w, d] tokens -> windows [n_windows, window**2, d]."""
+        """Row-major [grid*grid, d] tokens -> windows [n_windows, window**2, d]."""
         return gather_rows(tokens, self.perm)
 
     def merge(self, windows: Tensor) -> Tensor:
@@ -192,7 +188,7 @@ class SwinCrossBlock:
     outputs are summed, projected, skip-connected to the fixed features,
     and passed through a residual per-token MLP. The block is built for
     one grid and width and raises :class:`~patchreg.gradcore.DimensionError`
-    unless both inputs are [grid_h * grid_w, dim].
+    unless both inputs are [grid * grid, dim].
     """
 
     def __init__(
@@ -200,24 +196,21 @@ class SwinCrossBlock:
         pset: ParamSet,
         prefix: str,
         dim: int,
-        grid_h: int,
-        grid_w: int,
+        grid: int,
         window: int,
         heads: int,
         hidden_ratio: int = 4,
     ):
         if dim % heads:
             raise DimensionError(f"dim {dim} not divisible by {heads} heads")
-        self.normal = WindowPartition(grid_h, grid_w, window, False)
+        self.normal = WindowPartition(grid, window, False)
         # a window covering the whole grid already connects every token,
         # so the second pass runs unshifted and unmasked
-        use_shift = window < min(grid_h, grid_w)
-        self.shifted = WindowPartition(grid_h, grid_w, window, True) if use_shift else self.normal
+        self.shifted = WindowPartition(grid, window, True) if window < grid else self.normal
         self.dim = dim
         self.window = window
         self.heads = heads
-        self.grid_h = grid_h
-        self.grid_w = grid_w
+        self.grid = grid
         self.scale = 1.0 / math.sqrt(dim // heads)
         self.norm_fix_g = pset.add(f"{prefix}.norm_fix.g", (dim,), init="ones")
         self.norm_fix_b = pset.add(f"{prefix}.norm_fix.b", (dim,), init="zeros")
@@ -246,11 +239,11 @@ class SwinCrossBlock:
         return layout.merge(window_attention(layout.split(q), k, v, bias, layout.mask, self.scale))
 
     def __call__(self, fix: Tensor, mov: Tensor) -> Tensor:
-        built = (self.grid_h * self.grid_w, self.dim)
+        built = (self.grid * self.grid, self.dim)
         if fix.shape != built or mov.shape != built:
             raise DimensionError(
                 f"fixed {fix.shape} and moving {mov.shape} tokens must both be {built} "
-                f"for the block's {self.grid_h}x{self.grid_w} grid"
+                f"for the block's {self.grid}x{self.grid} grid"
             )
         nk = layer_norm(fix, self.norm_fix_g, self.norm_fix_b)
         nq = layer_norm(mov, self.norm_mov_g, self.norm_mov_b)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -156,8 +157,11 @@ _GRADCHECK_SIZE_LIMIT = 64
 
 
 def cmd_gradcheck(args) -> int:
-    if args.size > _GRADCHECK_SIZE_LIMIT:
-        raise ConfigError(f"gradcheck is desk scale only (size <= {_GRADCHECK_SIZE_LIMIT})")
+    # desk scale only, and the synthetic pair's 2 px peak must stay below size/8
+    if not 16 < args.size <= _GRADCHECK_SIZE_LIMIT:
+        raise ConfigError(f"--size must lie in 17..{_GRADCHECK_SIZE_LIMIT}, got {args.size}")
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ConfigError(f"--threshold must be a finite number > 0, got {args.threshold}")
     families = list(models.FAMILIES) if args.family == "all" else [args.family]
     pair = dataio.synth_pair(args.seed, size=args.size, max_disp=2.0)
     fix = pair.fix.astype(np.float64)
@@ -185,13 +189,13 @@ def cmd_gradcheck(args) -> int:
             report = grad_check(
                 loss_fn, model.params, n_probes=args.probes, step=args.step, seed=args.seed
             )
-            status = "ok" if report.max_rel_err < args.threshold else "FAIL"
+            passed = report.max_rel_err < args.threshold  # False for NaN
             print(
                 f"{family}: max rel err {report.max_rel_err:.3e} "
-                f"(mean {report.mean_rel_err:.3e}, {report.n_probes} probes) {status}"
+                f"(mean {report.mean_rel_err:.3e}, {report.n_probes} probes) "
+                f"{'ok' if passed else 'FAIL'}"
             )
-            if report.max_rel_err >= args.threshold:
-                ok = False
+            ok = ok and passed
     finally:
         set_grad_fault(False)
     return 0 if ok else 1

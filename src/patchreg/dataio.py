@@ -2,9 +2,10 @@
 resizing to the working resolution, and a seeded synthetic ED/ES pair
 generator with known ground-truth deformation.
 
-On-disk conventions: grayscale images are binary PGM (P5) scaled to
-[0, 1] on load; label masks are PGM files whose raw byte values are the
-labels themselves; displacement fields use the flat binary field format.
+On-disk conventions: grayscale images are binary PGM (P5), read at 8
+or 16 bits and scaled to [0, 1], and written at 8 bits; label masks are
+PGM files whose raw byte values are the labels themselves; displacement
+fields use the flat binary field format.
 Manifest CSVs have the header
 ``pair_id,ed_image,es_image,ed_mask,es_mask,split,spacing_mm`` with
 paths relative to the manifest location.
@@ -85,26 +86,25 @@ def _parse_pgm(path) -> tuple[np.ndarray, int]:
         raise PgmParseError(f"{path}: bad dimensions {width}x{height}")
     if maxval < 1 or maxval > 65535:
         raise PgmParseError(f"{path}: maxval {maxval} out of range")
-    dtype = _sample_dtype(maxval)
+    # one byte per sample up to maxval 255, else two, most significant first
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     need = width * height * dtype.itemsize
     payload = data[offset : offset + need]
     if len(payload) != need:
         raise PgmParseError(
             f"{path}: expected {need} payload bytes at byte {offset}, got {len(payload)}"
         )
-    return np.frombuffer(payload, dtype=dtype).reshape(height, width), maxval
+    samples = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    if samples.max() > maxval:
+        raise PgmParseError(f"{path}: sample {samples.max()} exceeds maxval {maxval}")
+    return samples, maxval
 
 
-def _sample_dtype(maxval: int) -> np.dtype:
-    """One byte per sample up to maxval 255, else two, most significant first."""
-    return np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-
-
-def _write_p5(samples: np.ndarray, path, maxval: int) -> None:
-    """Write integer-valued samples in 0..maxval as binary PGM."""
+def _write_p5(samples: np.ndarray, path) -> None:
+    """Write integer-valued samples in 0..255 as 8-bit binary PGM."""
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{samples.shape[1]} {samples.shape[0]}\n{maxval}\n".encode("ascii"))
-        fh.write(samples.astype(_sample_dtype(maxval)).tobytes())
+        fh.write(f"P5\n{samples.shape[1]} {samples.shape[0]}\n255\n".encode("ascii"))
+        fh.write(samples.astype("u1").tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -113,10 +113,10 @@ def read_pgm(path) -> np.ndarray:
     return raw / maxval
 
 
-def write_pgm(img: np.ndarray, path, maxval: int = 255) -> None:
-    """Write [0, 1] intensities as binary PGM. Round-trips 8-bit data exactly."""
+def write_pgm(img: np.ndarray, path) -> None:
+    """Write [0, 1] intensities as 8-bit binary PGM. Round-trips 8-bit data exactly."""
     img = np.asarray(img, dtype=np.float64)
-    _write_p5(np.clip(np.round(img * maxval), 0, maxval), path, maxval)
+    _write_p5(np.clip(np.round(img * 255), 0, 255), path)
 
 
 def read_mask(path) -> np.ndarray:
@@ -130,7 +130,7 @@ def write_mask(mask: np.ndarray, path) -> None:
     mask = np.asarray(mask)
     if not (mask.min() >= 0 and mask.max() <= 255):
         raise ValueError(f"{path}: mask labels must lie in 0..255, got {mask.min()}..{mask.max()}")
-    _write_p5(mask, path, 255)
+    _write_p5(mask, path)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def synth_pair(seed: int, size: int = 64, max_disp: float = 3.0) -> SynthPair:
 
     # two passes so the integrated displacement, not the velocity, peaks at max_disp
     vel_seed = int(rng.integers(0, 2**32))
-    vel = random_smooth_velocity(vel_seed, size, size, max_disp, sigma=size / 8.0)
+    vel = random_smooth_velocity(vel_seed, size, size, max_disp)
     disp = integrate_svf(vel)
     peak = np.sqrt(disp.array[0] ** 2 + disp.array[1] ** 2).max()
     if peak > 0:

@@ -825,7 +825,10 @@ class GradCheckReport:
     mean_rel_err: float
     n_probes: int
     probes: list[ProbeResult]
-    worst: ProbeResult | None
+    worst: ProbeResult
+
+
+_GRAD_CHECK_DENOM_FLOOR = 1e-5
 
 
 def grad_check(
@@ -834,19 +837,20 @@ def grad_check(
     n_probes: int = 10,
     step: float = 1e-5,
     seed: int = 0,
-    denom_floor: float = 1e-5,
 ) -> GradCheckReport:
     """Compare analytic gradients of ``f(params)`` against central finite
     differences at ``n_probes`` randomly chosen parameter coordinates.
 
     ``f`` must be a pure scalar function of the parameter values. The
-    relative error denominator is floored at ``denom_floor`` so that
-    coordinates where both gradients vanish do not dominate the report.
+    relative error denominator is floored at 1e-5 so that coordinates
+    where both gradients vanish do not dominate the report. A NaN
+    relative error (a NaN or infinite gradient on either side) counts as
+    the worst: ``max_rel_err`` is then NaN and ``worst`` is that probe.
     """
     if n_probes < 1:
         raise ContractError("n_probes must be >= 1")
-    if step <= 0:
-        raise ContractError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ContractError(f"step must be finite and positive, got {step}")
     if params.dtype != np.float64:
         raise ContractError("grad_check needs float64 parameters; the step is below float32 resolution")
     names = params.names()
@@ -878,15 +882,15 @@ def grad_check(
         t.data.flat[idx] = orig
         fd = (fp - fm) / (2.0 * step)
         an = 0.0 if analytic[name] is None else float(analytic[name].flat[idx])
-        rel = abs(fd - an) / max(abs(fd), abs(an), denom_floor)
+        rel = abs(fd - an) / max(abs(fd), abs(an), _GRAD_CHECK_DENOM_FLOOR)
         probes.append(ProbeResult(name, idx, an, fd, rel))
 
-    rels = [p.rel_err for p in probes]
-    worst = max(probes, key=lambda p: p.rel_err)
+    rels = np.array([p.rel_err for p in probes])
+    worst = int(np.argmax(rels))  # the first NaN, if there is one
     return GradCheckReport(
-        max_rel_err=max(rels),
-        mean_rel_err=float(np.mean(rels)),
+        max_rel_err=float(rels[worst]),
+        mean_rel_err=float(rels.mean()),
         n_probes=len(probes),
         probes=probes,
-        worst=worst,
+        worst=probes[worst],
     )

@@ -137,10 +137,8 @@ def endpoint_error(
 
 @dataclass
 class EvalPair:
-    """One end-diastole / end-systole case ready for evaluation.
-
-    ``disp_forward`` may hold a precomputed field, letting reports be
-    built without a model."""
+    """One end-diastole / end-systole case ready for evaluation; the
+    model registers its images when it is evaluated."""
 
     pair_id: str
     ed_image: np.ndarray
@@ -148,7 +146,6 @@ class EvalPair:
     ed_mask: np.ndarray | None = None
     es_mask: np.ndarray | None = None
     spacing_mm: float | None = None
-    disp_forward: VectorField | None = None
 
 
 @dataclass
@@ -318,14 +315,14 @@ def _one_blas_thread():
 
 
 def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> EvalReport:
-    """Register each pair (end-systole moving onto end-diastole fixed),
-    warp the moving mask, and collect per-structure and Jacobian metrics.
+    """Register each pair with ``model`` (end-systole moving onto
+    end-diastole fixed), warp the moving mask, and collect per-structure
+    and Jacobian metrics.
 
-    ``model`` may be None when every pair carries a precomputed
-    ``disp_forward``. Pairs without masks are skipped with a logged
-    reason. Per-pair work runs on a thread pool of ``threads`` workers
-    (default :func:`worker_count`), at most one per pair. Each worker
-    computes the forward field only, without a graph.
+    Pairs without masks are skipped with a logged reason. Per-pair work
+    runs on a thread pool of ``threads`` workers (default
+    :func:`worker_count`), at most one per pair. Each worker computes the
+    forward field only, without a graph.
 
     With more than one worker, OpenBLAS is capped at one thread while the
     pool runs, so each worker runs one pair on one core instead of every
@@ -345,13 +342,8 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
         """(structure rows, Jacobian stats, determinants), or a skip reason."""
         if pair.ed_mask is None or pair.es_mask is None:
             return "missing mask"
-        if pair.disp_forward is not None:
-            disp = pair.disp_forward
-        elif model is not None:
-            with no_grad():
-                disp = model.displacement(model.fused_velocity(pair.ed_image, pair.es_image))
-        else:
-            return "no model and no precomputed field"
+        with no_grad():
+            disp = model.displacement(model.fused_velocity(pair.ed_image, pair.es_image))
         warped = warp_mask(pair.es_mask, disp)
         spacing = pair.spacing_mm if pair.spacing_mm else 1.0
         rows = []

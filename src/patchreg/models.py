@@ -208,7 +208,6 @@ class ChildModel:
                     f"{prefix}.cross{i}",
                     cfg.dim,
                     self.grid,
-                    self.grid,
                     scale.window,
                     scale.heads,
                     cfg.hidden_ratio,
@@ -408,7 +407,7 @@ def save_checkpoint(model: RegistrationModel, path) -> None:
         fh.write(payload)
 
 
-def load_checkpoint(path, dtype=np.float32) -> RegistrationModel:
+def load_checkpoint(path) -> RegistrationModel:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -443,7 +442,7 @@ def load_checkpoint(path, dtype=np.float32) -> RegistrationModel:
             raise ValueError("payload size does not match parameter table")
         # the stored arrays stand in for the seeded init, which is never
         # drawn; building the model pops every array it uses
-        model = RegistrationModel(config, dtype=dtype, values=arrays)
+        model = RegistrationModel(config, values=arrays)
         if arrays:
             raise ValueError("parameter names do not match the stored config")
     except (KeyError, TypeError, ValueError) as e:

@@ -102,8 +102,8 @@ class TrainConfig:
             raise ConfigError("lr and lam must be finite")
         if self.lr <= 0 or self.lam <= 0:
             raise ConfigError("lr and lam must be positive")
-        if self.patience > self.max_epochs:
-            raise ConfigError("patience cannot exceed max_epochs")
+        if not 0 <= self.patience <= self.max_epochs:
+            raise ConfigError(f"patience must lie in 0..max_epochs, got {self.patience}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.precision not in ("f32", "f64"):
@@ -172,23 +172,17 @@ def symmetric_loss(fix, mov, result: RegistrationResult, lam: float, literal_reg
 # optimizer
 
 
-class Adam:
-    """Adam with bias correction; gradients must be zeroed by the caller
-    between steps."""
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
-    def __init__(
-        self,
-        params: ParamSet,
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+
+class Adam:
+    """Adam with bias correction (:data:`ADAM_BETAS`, :data:`ADAM_EPS`);
+    gradients must be zeroed by the caller between steps."""
+
+    def __init__(self, params: ParamSet, lr: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         for t in params.tensors():
             if t.grad is None:  # step() may run before any backward reaches it
@@ -198,7 +192,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -209,7 +203,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.data -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            p.data -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

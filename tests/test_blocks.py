@@ -219,14 +219,14 @@ def brute_force_region(i, grid, window):
 def test_partition_round_trip_bit_exact():
     for shifted in (False, True):
         x = rand_tokens(23, 4, 4, 5)
-        part = WindowPartition(4, 4, 2, shifted)
+        part = WindowPartition(4, 2, shifted)
         merged = part.merge(part.split(x))
         assert np.array_equal(merged.data, x.data)
 
 
 def test_partition_normal_4x4_window2_matches_enumeration():
     x = rand_tokens(24, 4, 4, 3)
-    part = WindowPartition(4, 4, 2, False)
+    part = WindowPartition(4, 2, False)
     windows = part.split(x).data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=False)):
         assert np.array_equal(windows[wi], x.data[idxs])
@@ -234,7 +234,7 @@ def test_partition_normal_4x4_window2_matches_enumeration():
 
 def test_partition_shifted_windows_match_enumeration():
     x = rand_tokens(25, 4, 4, 3)
-    part = WindowPartition(4, 4, 2, True)
+    part = WindowPartition(4, 2, True)
     windows = part.split(x).data
     for wi, idxs in enumerate(brute_force_windows(4, 2, shifted=True)):
         assert np.array_equal(windows[wi], x.data[idxs])
@@ -242,7 +242,7 @@ def test_partition_shifted_windows_match_enumeration():
 
 def test_shifted_mask_matches_brute_force_region_labels():
     grid, window = 4, 2
-    part = WindowPartition(grid, grid, window, True)
+    part = WindowPartition(grid, window, True)
     assert part.mask is not None
     sets = brute_force_windows(grid, window, shifted=True)
     for wi, idxs in enumerate(sets):
@@ -264,7 +264,7 @@ def test_shifted_mask_matches_brute_force_region_labels():
 
 def test_partition_rejects_indivisible_grid():
     with pytest.raises(DimensionError):
-        WindowPartition(3, 3, 2, False)
+        WindowPartition(3, 2, False)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def swin_reference(block, fix, mov, grid):
 def test_swin_block_matches_dense_attention_oracle():
     grid, window, heads, dim = 8, 4, 2, 8
     ps = ParamSet(30, dtype=np.float64)
-    block = SwinCrossBlock(ps, "s", dim, grid, grid, window, heads)
+    block = SwinCrossBlock(ps, "s", dim, grid, window, heads)
     randomize(ps, 31, scale=0.3)
     fix = rand_tokens(32, grid, grid, dim)
     mov = rand_tokens(33, grid, grid, dim)
@@ -345,7 +345,7 @@ def test_swin_block_whole_grid_window_matches_oracle():
     # window == grid: single window, shifted pass degenerates to normal
     grid, window, heads, dim = 4, 4, 1, 6
     ps = ParamSet(34, dtype=np.float64)
-    block = SwinCrossBlock(ps, "s", dim, grid, grid, window, heads)
+    block = SwinCrossBlock(ps, "s", dim, grid, window, heads)
     randomize(ps, 35, scale=0.3)
     x = rand_tokens(36, grid, grid, dim)
     out = block(x, x).data
@@ -356,7 +356,7 @@ def test_swin_block_whole_grid_window_matches_oracle():
 def test_swin_block_zero_values_reduces_to_residual_path():
     grid, window, heads, dim = 4, 2, 2, 8
     ps = ParamSet(37, dtype=np.float64)
-    block = SwinCrossBlock(ps, "s", dim, grid, grid, window, heads)
+    block = SwinCrossBlock(ps, "s", dim, grid, window, heads)
     randomize(ps, 38, scale=0.3)
     block.wv.data[...] = 0.0
     block.bv.data[...] = 0.0
@@ -374,7 +374,7 @@ def test_swin_block_zero_values_reduces_to_residual_path():
 def test_swin_block_permutation_equivariance_whole_grid():
     grid, dim = 4, 6
     ps = ParamSet(41, dtype=np.float64)
-    block = SwinCrossBlock(ps, "s", dim, grid, grid, window=grid, heads=2)
+    block = SwinCrossBlock(ps, "s", dim, grid, window=grid, heads=2)
     randomize(ps, 42, scale=0.3)
     block.bias_table.data[...] = 0.0
     fix = rand_tokens(43, grid, grid, dim)
@@ -391,7 +391,7 @@ def test_swin_block_permutation_equivariance_whole_grid():
 def test_swin_block_rejects_wrong_grid():
     # the 32 tokens of a 4x8 grid, and 16 tokens of the wrong width
     ps = ParamSet(46, dtype=np.float64)
-    block = SwinCrossBlock(ps, "s", 8, 4, 4, window=2, heads=2)
+    block = SwinCrossBlock(ps, "s", 8, 4, window=2, heads=2)
     good = rand_tokens(47, 4, 4, 8)
     for bad in (rand_tokens(48, 4, 8, 8), rand_tokens(49, 4, 4, 6)):
         for fix, mov in ((bad, bad), (good, bad), (bad, good)):
@@ -462,24 +462,24 @@ def head_layout_swin(block, fix, mov):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
-    "grid_h, grid_w, window, heads, dim",
-    [(8, 8, 4, 2, 8), (4, 8, 2, 4, 8), (4, 4, 4, 2, 6)],
-    ids=["shifted", "shifted-4x8", "whole-grid"],
+    "grid, window, heads, dim",
+    [(8, 4, 2, 8), (4, 4, 2, 6)],
+    ids=["shifted", "whole-grid"],
 )
-def test_swin_block_bit_exact_to_head_layout_oracle(dtype, grid_h, grid_w, window, heads, dim):
-    readout = np.random.default_rng(64).normal(size=(grid_h * grid_w, dim)).astype(dtype)
+def test_swin_block_bit_exact_to_head_layout_oracle(dtype, grid, window, heads, dim):
+    readout = np.random.default_rng(64).normal(size=(grid * grid, dim)).astype(dtype)
     results = []
     for forward in (lambda block, fix, mov: block(fix, mov), head_layout_swin):
         ps = ParamSet(60, dtype=dtype)
-        block = SwinCrossBlock(ps, "s", dim, grid_h, grid_w, window, heads)
+        block = SwinCrossBlock(ps, "s", dim, grid, window, heads)
         randomize(ps, 61, scale=0.3)
-        fix = rand_tokens(62, grid_h, grid_w, dim, dtype)
-        mov = rand_tokens(63, grid_h, grid_w, dim, dtype)
+        fix = rand_tokens(62, grid, grid, dim, dtype)
+        mov = rand_tokens(63, grid, grid, dim, dtype)
         out = forward(block, fix, mov)
         gc.backward(gc.sum_all(gc.mul(out, readout)))
         grads = [fix.grad, mov.grad] + [t.grad for _, t in ps.items()]
         results.append([out.data] + grads)
-    assert (block.shifted is block.normal) == (window == min(grid_h, grid_w))
+    assert (block.shifted is block.normal) == (window == grid)
     names = ["out", "fix", "mov"] + ps.names()
     for name, new, old in zip(names, *results):
         assert new.dtype == old.dtype == dtype, name
@@ -512,7 +512,7 @@ def test_blocks_pass_grad_check(kind):
         x = rand_tokens(53, grid, grid, dim)
         f = lambda params: scalar_readout(block(x))
     else:
-        block = SwinCrossBlock(ps, "s", dim, grid, grid, window=2, heads=2)
+        block = SwinCrossBlock(ps, "s", dim, grid, window=2, heads=2)
         fix = rand_tokens(54, grid, grid, dim)
         mov = rand_tokens(55, grid, grid, dim)
         f = lambda params: scalar_readout(block(fix, mov))
@@ -562,7 +562,7 @@ def test_param_count_formulas():
     assert n_values(ps) == mixer_block_param_count(dim, grid * grid)
 
     ps = ParamSet(62)
-    SwinCrossBlock(ps, "s", dim, grid, grid, window=4, heads=4)
+    SwinCrossBlock(ps, "s", dim, grid, window=4, heads=4)
     assert n_values(ps) == swin_block_param_count(dim, window=4, heads=4)
 
     ps = ParamSet(63)

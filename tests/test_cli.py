@@ -189,10 +189,11 @@ def _weighted(weight):
         {"model": {"preset": "pure_mlp_desk", "integration_steps": 0}, "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": _weighted(math.nan), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": _weighted(math.inf), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
+        {"model": {"preset": "pure_mlp_desk"}, "train": {**_ONE_EPOCH, "patience": -3}, "data": _SYNTH_DATA},
     ],
     ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
          "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "steps-zero",
-         "weight-nan", "weight-inf"],
+         "weight-nan", "weight-inf", "patience-negative"],
 )
 def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)
@@ -435,10 +436,11 @@ def register_fixed_image(directory, data: bytes) -> tuple[int, str]:
 
 
 def pgm(width, height, maxval=255, payload=None, header=None) -> bytes:
-    """A P5 file; the payload defaults to a ramp of the right length."""
+    """A P5 file; the payload defaults to a ramp of the right length whose
+    samples do not exceed maxval."""
     if payload is None:
         n = width * height * (2 if maxval > 255 else 1)
-        payload = bytes(i * 37 % 256 for i in range(n))
+        payload = bytes(i * 37 % (min(maxval, 255) + 1) for i in range(n))
     return (header or f"P5\n{width} {height}\n{maxval}\n".encode()) + payload
 
 
@@ -715,6 +717,33 @@ def test_gradcheck_fault_injection_detected(capsys):
 
 def test_gradcheck_size_guard(capsys):
     assert main(["gradcheck", "--family", "pure_mlp", "--size", "128"]) == 2
+
+
+def test_gradcheck_nan_error_prints_fail_and_exits_1(capsys):
+    # a step of 1e300 overflows the loss, so the finite differences are NaN
+    with np.errstate(all="ignore"):
+        rc = main(["gradcheck", "--family", "pure_mlp", "--probes", "2", "--step", "1e300"])
+    out = capsys.readouterr().out
+    assert "max rel err nan" in out and out.rstrip().endswith("FAIL")
+    assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--step", "inf", "step must be finite and positive"),
+        ("--step", "nan", "step must be finite and positive"),
+        ("--threshold", "nan", "--threshold"),
+        ("--threshold", "inf", "--threshold"),
+        ("--threshold", "0", "--threshold"),
+        ("--size", "16", "--size"),
+    ],
+    ids=["step-inf", "step-nan", "threshold-nan", "threshold-inf", "threshold-0", "size-16"],
+)
+def test_gradcheck_bad_number_exit_2(flag, value, message):
+    rc, err = run_cli(["gradcheck", "--family", "pure_mlp", "--probes", "2", flag, value])
+    assert_one_line_error(rc, err, 2)
+    assert message in err
 
 
 def test_module_entry_point_runs():

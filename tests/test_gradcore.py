@@ -1,5 +1,6 @@
 """Kernel-level checks of the autodiff engine against finite differences."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -548,6 +549,36 @@ def test_grad_check_detects_corrupted_backward():
     finally:
         gc.set_grad_fault(False)
     assert report.max_rel_err > 1e-2
+
+
+def test_grad_check_reports_a_nan_gradient_as_the_worst_probe():
+    ps = ParamSet(5, dtype=np.float64)
+    ps.add("p", (10,))
+
+    def f(params):
+        # sum(p), whose backward puts NaN at coordinate 7
+        p = params["p"]
+
+        def backward_fn(g):
+            grad = np.full(p.shape, float(g))
+            grad[7] = np.nan
+            return (grad,)
+
+        return gc._node(np.asarray(p.data.sum()), (p,), backward_fn)
+
+    report = grad_check(f, ps, n_probes=20, seed=0)
+    # seed 0 probes coordinate 7 once, and not first
+    assert [p.index for p in report.probes].count(7) == 1 and report.probes[0].index != 7
+    assert np.isnan(report.max_rel_err) and np.isnan(report.mean_rel_err)
+    assert report.worst.index == 7
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+def test_grad_check_rejects_a_step_that_is_not_finite_and_positive(step):
+    ps = ParamSet(0, dtype=np.float64)
+    ps.add("p", (4,))
+    with pytest.raises(ContractError, match="step must be finite and positive"):
+        grad_check(_quadratic, ps, n_probes=2, step=step)
 
 
 def test_grad_check_rejects_float32_params():

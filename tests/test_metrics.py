@@ -276,15 +276,6 @@ def test_missing_mask_pairs_are_skipped(zero_model):
     assert report.skipped == [("pair1", "missing mask")]
 
 
-def test_evaluate_with_precomputed_fields_needs_no_model():
-    pairs = identity_eval_pairs(2)
-    for p in pairs:
-        p.disp_forward = const_disp(64, 64, 0.0, 0.0)
-    report = evaluate_pairs(None, pairs, threads=1)
-    assert len(report.jacobian_rows) == 2
-    assert all(r.dice == 1.0 for r in report.rows)
-
-
 def test_surface_distances_spacing_converts_units():
     a = np.zeros((8, 8), dtype=int)
     b = np.zeros((8, 8), dtype=int)
