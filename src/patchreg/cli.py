@@ -25,6 +25,12 @@ from .svf import compose_displacements, mean_interior_magnitude
 from .training import TrainConfig, TrainingDiverged, symmetric_loss
 
 
+def _require(ok: bool, message: str) -> None:
+    """A usage check: raise ConfigError (exit 2) with ``message`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(message)
+
+
 @dataclass
 class DataConfig:
     """The ``data`` section: manifest path (relative to the config file) and split names."""
@@ -37,8 +43,7 @@ class DataConfig:
 def _resolve_model_config(section) -> models.ModelConfig:
     """``section["preset"]`` (default: ``ModelConfig()``) with the section's
     other keys overriding its fields."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"model must be a JSON object, got {type(section).__name__}")
+    _require(isinstance(section, dict), f"model must be a JSON object, got {type(section).__name__}")
     overrides = dict(section)
     base = preset(overrides.pop("preset")) if "preset" in overrides else models.ModelConfig()
     cfg = models.ModelConfig.from_dict({**models.config_to_dict(base), **overrides})
@@ -48,11 +53,9 @@ def _resolve_model_config(section) -> models.ModelConfig:
 
 def cmd_train(args) -> int:
     raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object with model/train/data sections")
+    _require(isinstance(raw, dict), "config must be a JSON object with model/train/data sections")
     for key in raw:
-        if key not in ("model", "train", "data"):
-            raise ConfigError(f"config has unknown section {key!r}")
+        _require(key in ("model", "train", "data"), f"config has unknown section {key!r}")
     model_cfg = _resolve_model_config(raw.get("model", {}))
     train_cfg = models.config_from_dict(TrainConfig, raw.get("train", {}), "train")
     data = models.config_from_dict(DataConfig, raw.get("data", {}), "data")
@@ -73,10 +76,8 @@ def cmd_train(args) -> int:
 
     train_pairs = dataio.load_image_pairs(data.manifest, data.train_split, model_cfg.image_size)
     val_pairs = dataio.load_image_pairs(data.manifest, data.val_split, model_cfg.image_size)
-    if not train_pairs:
-        raise ConfigError(f"no '{data.train_split}' pairs in {data.manifest}")
-    if not val_pairs:
-        raise ConfigError(f"no '{data.val_split}' pairs in {data.manifest}")
+    _require(bool(train_pairs), f"no '{data.train_split}' pairs in {data.manifest}")
+    _require(bool(val_pairs), f"no '{data.val_split}' pairs in {data.manifest}")
     model = init_model(model_cfg, dtype=train_cfg.dtype)
     result = training.train(model, train_pairs, val_pairs, train_cfg, out_dir=out)
     print(
@@ -126,12 +127,11 @@ def cmd_register(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
+    _require(args.threads is None or args.threads >= 1,
+             f"--threads must be a positive integer, got {args.threads}")
     model = load_checkpoint(args.checkpoint)
     pairs = dataio.load_eval_pairs(args.manifest, args.split, model.config.image_size)
-    if not pairs:
-        raise ConfigError(f"split '{args.split}' of {args.manifest} is empty")
+    _require(bool(pairs), f"split '{args.split}' of {args.manifest} is empty")
     report = evaluate_pairs(model, pairs, threads=args.threads)
     report.write(args.out)
     n_rows = len({r.pair_id for r in report.rows})
@@ -140,8 +140,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
+    # every flag is checked before the output directory exists
+    _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
+    _require(args.seed >= 0, f"--seed must be a non-negative integer, got {args.seed}")
+    _require(args.size >= 16, f"--size must be at least 16, got {args.size}")
+    _require(0 <= args.max_disp < args.size / 8, f"--max-disp must lie in [0, size/8), got {args.max_disp}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -153,15 +156,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_GRADCHECK_SIZE_LIMIT = 64
-
-
 def cmd_gradcheck(args) -> int:
     # desk scale only, and the synthetic pair's 2 px peak must stay below size/8
-    if not 16 < args.size <= _GRADCHECK_SIZE_LIMIT:
-        raise ConfigError(f"--size must lie in 17..{_GRADCHECK_SIZE_LIMIT}, got {args.size}")
-    if not (math.isfinite(args.threshold) and args.threshold > 0):
-        raise ConfigError(f"--threshold must be a finite number > 0, got {args.threshold}")
+    _require(16 < args.size <= 64, f"--size must lie in 17..64, got {args.size}")
+    _require(0 < args.threshold < math.inf, f"--threshold must be a finite number > 0, got {args.threshold}")
+    _require(args.seed >= 0, f"--seed must be a non-negative integer, got {args.seed}")
+    _require(args.probes >= 1, f"--probes must be at least 1, got {args.probes}")
     families = list(models.FAMILIES) if args.family == "all" else [args.family]
     pair = dataio.synth_pair(args.seed, size=args.size, max_disp=2.0)
     fix = pair.fix.astype(np.float64)

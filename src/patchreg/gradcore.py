@@ -29,12 +29,12 @@ hold ``-inf`` as long as every row of every window keeps a finite logit.
 :func:`mlp_branch` is the pre-norm MLP sub-layer every block ends in,
 ``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2``, with the arithmetic of
 that chain in the same order, so it is bit-identical to it. With a graph
-its node keeps only the pre-activation h, tanh of the gelu polynomial of
-h, and each row's mean and 1/σ; the backward rebuilds x̂, the fc1 input
-and gelu(h) from them with the forward's ufuncs, and the elementwise
+its node keeps only the pre-activation h and each row's mean and 1/σ;
+the backward rebuilds x̂, the fc1 input, tanh of the gelu polynomial of
+h and gelu(h) from them with the forward's ufuncs, and the elementwise
 chains of both directions run in row blocks between whole-matrix
-products. Without a graph it runs the same forward, with tanh kept one
-row block at a time and gelu(h) written over h, and keeps nothing.
+products. Without a graph it runs the same forward, with gelu(h)
+written over h, and keeps nothing.
 :func:`layer_norm` likewise keeps the row statistics, not x̂.
 
 float64 is the precision for finite-difference verification, float32 the
@@ -594,18 +594,18 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     Each product is one whole-matrix BLAS call, and the elementwise
     chains between them (bias add, tanh, gelu, its slope, the x̂ and
     fc1-input rebuild) run in row blocks of about ``_ROW_BLOCK`` values
-    that write into whole-matrix buffers. When the output gets a graph
-    node, the node keeps only the pre-activation ``h = y @ w1 + b1``,
-    its ``t = tanh(c·(h + 0.044715·h³))`` and each row's mean and 1/σ;
-    ``x`` is held by the node's edge or closure. The backward rebuilds
-    x̂, the ``fc1`` input ``y = x̂·γ + β`` and gelu(h) = 0.5·h·(1 + t)
-    with the forward's ufuncs, and reuses the gelu(h) buffer for the
-    gradient of ``h``.
+    that write into whole-matrix buffers; in the forward
+    ``t = tanh(c·(h + 0.044715·h³))`` lives one row block at a time. A graph
+    node keeps only the pre-activation ``h = y @ w1 + b1`` and each
+    row's mean and 1/σ; ``x`` is held by the node's edge or closure.
+    The backward rebuilds t once, into a buffer that lives for that
+    call and feeds both gelu(h) = 0.5·h·(1 + t) and its slope, and x̂
+    and the ``fc1`` input ``y = x̂·γ + β``, all with the forward's
+    ufuncs; it reuses the gelu(h) buffer for the gradient of ``h``.
 
     Otherwise (under :func:`no_grad`, or with constant operands) the
     forward is the same arithmetic, so its output has the bits of the
-    graph one on any BLAS; t lives one row block at a time, gelu(h)
-    overwrites h, and nothing is kept.
+    graph one on any BLAS; gelu(h) overwrites h, and nothing is kept.
     """
     ops = tuple(as_tensor(t) for t in (x, gamma, beta, w1, b1, w2, b2))
     x, gamma, beta, w1, b1, w2, b2 = ops
@@ -628,26 +628,25 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     y += bd
     h = y @ w1d
     del y
-    t = np.empty_like(h) if keep else None
     a = np.empty_like(h) if keep else h  # without a graph gelu(h) overwrites h
     for s in _row_blocks(h):
-        hb = h[s]
-        hb += b1d
-        _gelu_value(hb, _gelu_tanh(hb, out=None if t is None else t[s]), out=a[s])
+        hb = np.add(h[s], b1d, out=h[s])
+        _gelu_value(hb, _gelu_tanh(hb), out=a[s])
     data = a @ w2d
     data += b2d
     if not keep:
         return _node(data, ops, None)
 
     def backward_fn(g):
+        t = np.empty_like(h)
         a = np.empty_like(h)
         for s in _row_blocks(h):
-            _gelu_value(h[s], t[s], out=a[s])
+            _gelu_value(h[s], _gelu_tanh(h[s], out=t[s]), out=a[s])
         gw2 = a.T @ g
         gh = np.matmul(g, w2d.T, out=a)  # gelu(h) is no longer needed
         for s in _row_blocks(h):
-            ghb = gh[s]
-            ghb *= _gelu_slope(h[s], t[s])
+            np.multiply(gh[s], _gelu_slope(h[s], t[s]), out=gh[s])
+        del t
         xhat = _renormalize(xd, mean, inv)
         y = np.empty_like(xhat)
         for s in _row_blocks(y):

@@ -57,11 +57,21 @@ def test_synth_writes_five_files_plus_manifest(synth_dir):
     assert len(records) == 1 and records[0].split == "train"
 
 
-@pytest.mark.parametrize("max_disp", ["-2", "nan"])
+@pytest.mark.parametrize("max_disp", ["-2", "nan", "8", "100"])
 def test_synth_max_disp_outside_range_exit_2(tmp_path, max_disp):
+    # the default --size is 64, so --max-disp must stay below 8
     rc, err = run_cli(["synth", "--max-disp", max_disp, "--out", str(tmp_path / "s")])
     assert_one_line_error(rc, err, 2)
-    assert "max_disp" in err
+    assert "--max-disp" in err and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--size", "0"), ("--size", "15")])
+def test_synth_bad_seed_or_size_names_the_flag_and_writes_nothing(tmp_path, flag, value):
+    out = tmp_path / "s"
+    rc, err = run_cli(["synth", flag, value, "--out", str(out)])
+    assert_one_line_error(rc, err, 2)
+    assert err.startswith(f"error: {flag} must") and f"got {value}" in err
+    assert not out.exists()
 
 
 def test_synth_same_seed_identical_tree(tmp_path):
@@ -737,8 +747,10 @@ def test_gradcheck_nan_error_prints_fail_and_exits_1(capsys):
         ("--threshold", "inf", "--threshold"),
         ("--threshold", "0", "--threshold"),
         ("--size", "16", "--size"),
+        ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
+        ("--probes", "0", "--probes must be at least 1, got 0"),
     ],
-    ids=["step-inf", "step-nan", "threshold-nan", "threshold-inf", "threshold-0", "size-16"],
+    ids=["step-inf", "step-nan", "threshold-nan", "threshold-inf", "threshold-0", "size-16", "seed-neg", "probes-0"],
 )
 def test_gradcheck_bad_number_exit_2(flag, value, message):
     rc, err = run_cli(["gradcheck", "--family", "pure_mlp", "--probes", "2", flag, value])
