@@ -38,7 +38,7 @@ written over h, and keeps nothing.
 :func:`layer_norm` likewise keeps the row statistics, not x̂.
 
 float64 is the precision for finite-difference verification, float32 the
-training default. Every kernel here is checked against central finite
+training dtype. Every kernel here is checked against central finite
 differences in the test suite; :func:`grad_check` is the harness.
 """
 

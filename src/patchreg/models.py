@@ -143,6 +143,8 @@ class ModelConfig:
             )
         if self.depth_extract < 0:
             raise ConfigError("depth_extract must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"model.seed must be a non-negative integer, got {self.seed}")
         for s in self.scales:
             if s.patch < 1:
                 raise ConfigError(f"patch {s.patch} must be >= 1")

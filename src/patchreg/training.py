@@ -93,7 +93,6 @@ class TrainConfig:
     lam: float = 0.01
     batch_size: int = 8
     seed: int = 0
-    precision: str = "f32"  # the CLI builds the model in this dtype; train() uses the model's
     literal_regularizer: bool = False
     augment: AugmentationSpec = field(default_factory=AugmentationSpec)
 
@@ -106,13 +105,9 @@ class TrainConfig:
             raise ConfigError(f"patience must lie in 0..max_epochs, got {self.patience}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.precision not in ("f32", "f64"):
-            raise ConfigError("precision must be 'f32' or 'f64'")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be a non-negative integer, got {self.seed}")
         self.augment.validate()
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "f32" else np.float64
 
 
 class TrainingDiverged(RuntimeError):

@@ -10,14 +10,16 @@ import math
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchreg import dataio, models
+from patchreg import cli, dataio, models, training
 from patchreg.cli import main
-from patchreg.models import init_model, preset, save_checkpoint
+from patchreg.gradcore import GradCheckReport
+from patchreg.models import RegistrationModel, init_model, preset, save_checkpoint
 
 
 def read_log(path):
@@ -165,11 +167,11 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def train_with_config(directory, config) -> tuple[int, str]:
+def train_with_config(directory, config, *flags) -> tuple[int, str]:
     """Run ``patchreg train`` on ``config`` written as JSON; return exit code, stderr."""
     path = directory / "config.json"
     path.write_text(json.dumps(config))
-    return run_cli(["train", "--config", str(path), "--out", str(directory / "out")])
+    return run_cli(["train", "--config", str(path), "--out", str(directory / "out"), *flags])
 
 
 # the synth_dir manifest, relative to the config file: with it only the
@@ -200,13 +202,36 @@ def _weighted(weight):
         {"model": _weighted(math.nan), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": _weighted(math.inf), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": {"preset": "pure_mlp_desk"}, "train": {**_ONE_EPOCH, "patience": -3}, "data": _SYNTH_DATA},
+        {"model": {"preset": "pure_mlp_desk", "seed": -2}, "train": _ONE_EPOCH, "data": _SYNTH_DATA},
+        {"model": {"preset": "pure_mlp_desk"}, "train": {**_ONE_EPOCH, "seed": -3}, "data": _SYNTH_DATA},
     ],
     ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
          "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "steps-zero",
-         "weight-nan", "weight-inf", "patience-negative"],
+         "weight-nan", "weight-inf", "patience-negative", "model-seed-negative", "train-seed-negative"],
 )
 def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model, train, flags, message",
+    [
+        ({}, {"precision": "f32"}, [], "train has unknown key 'precision'"),
+        ({"seed": -2}, {}, [], "model.seed must be a non-negative integer, got -2"),
+        ({}, {"seed": -3}, [], "train.seed must be a non-negative integer, got -3"),
+        ({}, {}, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ],
+    ids=["precision", "model-seed", "train-seed", "seed-flag"],
+)
+def test_train_rejection_names_the_key_before_out_exists(tmp_path, synth_dir, model, train, flags, message):
+    # the CLI trains in float32, the checkpoint dtype, so a precision key
+    # (also one in an older resolved_config.json) is no field
+    config = {"model": {"preset": "pure_mlp_desk", **model}, "train": {**_ONE_EPOCH, **train}, "data": _SYNTH_DATA}
+    rc, err = train_with_config(tmp_path, config, *flags)
+    assert_one_line_error(rc, err, 2)
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # augmentation values numpy cannot draw from; at eight epochs each
@@ -242,7 +267,7 @@ _VALID_CONFIG = {
         "scales": [{"patch": 4, "window": 4, "heads": 4, "weight": 1.0}],
     },
     "train": {
-        "lr": 1e-3, "max_epochs": 2, "patience": 1, "batch_size": 1, "precision": "f32",
+        "lr": 1e-3, "max_epochs": 2, "patience": 1, "batch_size": 1,
         "augment": {"rotate": False, "contrast_range": [0.8, 1.2]},
     },
     "data": {"manifest": "absent.csv", "train_split": "train", "val_split": "val"},
@@ -699,8 +724,13 @@ def test_evaluate_fuzzed_manifest_exits_cleanly(io_dir, data):
          "--threads"),
         (["register", "--checkpoint", "c", "--fix", "f.pgm", "--out", "o"], "--mov"),
         (["align", "--fix", "f.pgm"], "align"),
+        (["gradcheck", "--size", "32"], "--size"),
+        (["gradcheck", "--dim", "16"], "--dim"),
+        (["gradcheck", "--patch", "4"], "--patch"),
+        (["gradcheck", "--depth", "1"], "--depth"),
     ],
-    ids=["bad-int", "missing-flag", "unknown-subcommand"],
+    ids=["bad-int", "missing-flag", "unknown-subcommand",
+         "gradcheck-size", "gradcheck-dim", "gradcheck-patch", "gradcheck-depth"],
 )
 def test_usage_error_is_one_line_exit_2(capsys, argv, names):
     rc = main(argv)
@@ -725,8 +755,27 @@ def test_gradcheck_fault_injection_detected(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_gradcheck_size_guard(capsys):
-    assert main(["gradcheck", "--family", "pure_mlp", "--size", "128"]) == 2
+def test_gradcheck_checks_the_desk_presets_through_the_training_loss(monkeypatch, capsys):
+    seed = 3
+    calls = []
+
+    def capture(f, params, **kwargs):
+        calls.append((f(params), params))  # f as grad_check calls it, inside the family's loop pass
+        return GradCheckReport(max_rel_err=0.0, mean_rel_err=0.0, n_probes=0, probes=[], worst=None)
+
+    monkeypatch.setattr(cli, "grad_check", capture)
+    assert main(["gradcheck", "--seed", str(seed)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == list(models.FAMILIES)
+    pair = dataio.synth_pair(seed, size=32, max_disp=2.0)
+    for family, (loss, params) in zip(models.FAMILIES, calls):
+        cfg = replace(preset(f"{family}_desk"), image_size=32, seed=seed)
+        ref = RegistrationModel(cfg, dtype=np.float64, head_init="random")
+        assert params.names() == ref.params.names(), family
+        for name in ref.params.names():
+            got, want = params[name].data, ref.params[name].data
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (family, name)
+        want = training._pair_loss(ref, pair.fix, pair.mov, training.TrainConfig())
+        assert loss.data.dtype == want.data.dtype and loss.data.tobytes() == want.data.tobytes(), family
 
 
 def test_gradcheck_nan_error_prints_fail_and_exits_1(capsys):
@@ -746,11 +795,10 @@ def test_gradcheck_nan_error_prints_fail_and_exits_1(capsys):
         ("--threshold", "nan", "--threshold"),
         ("--threshold", "inf", "--threshold"),
         ("--threshold", "0", "--threshold"),
-        ("--size", "16", "--size"),
         ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
         ("--probes", "0", "--probes must be at least 1, got 0"),
     ],
-    ids=["step-inf", "step-nan", "threshold-nan", "threshold-inf", "threshold-0", "size-16", "seed-neg", "probes-0"],
+    ids=["step-inf", "step-nan", "threshold-nan", "threshold-inf", "threshold-0", "seed-neg", "probes-0"],
 )
 def test_gradcheck_bad_number_exit_2(flag, value, message):
     rc, err = run_cli(["gradcheck", "--family", "pure_mlp", "--probes", "2", flag, value])

@@ -417,7 +417,7 @@ def test_config_round_trips_through_dict():
     augment = training.AugmentationSpec(
         contrast_range=(0.5, 2.0), sharpen_amount=(0.1, 0.2), blur_sigma=(1.0, 3.0)
     )
-    train_cfg = training.TrainConfig(lr=3e-4, precision="f64", augment=augment)
+    train_cfg = training.TrainConfig(lr=3e-4, augment=augment)
     again = models.config_from_dict(training.TrainConfig, models.config_to_dict(train_cfg), "train")
     assert again == train_cfg
 

@@ -374,7 +374,7 @@ def test_validation_runs_in_the_model_dtype():
 
 def test_per_pair_backward_matches_single_batch_graph():
     pairs = [desk_pair(seed) for seed in (3, 4, 5)]
-    cfg = quick_config(max_epochs=1, patience=1, batch_size=3, precision="f64")
+    cfg = quick_config(max_epochs=1, patience=1, batch_size=3)
     model = init_model(models.preset("swin_trans_desk"), dtype=np.float64, head_init="random")
     ref = init_model(models.preset("swin_trans_desk"), dtype=np.float64, head_init="random")
     train(model, pairs, pairs[:1], cfg)  # one batch: grads are those at the initial params
