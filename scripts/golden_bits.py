@@ -32,7 +32,7 @@ from patchreg.dataio import synth_pair
 from patchreg.gradcore import backward, no_grad
 from patchreg.metrics import openblas_build
 from patchreg.models import RegistrationModel, preset
-from patchreg.training import AugmentationSpec, TrainConfig
+from patchreg.training import TrainConfig
 
 PRESETS = ("pure_mlp_desk", "mlp_mixer_desk", "swin_trans_desk", "pure_mlp_s", "mlp_mixer_s", "swin_trans_s")
 DTYPES = ("float32", "float64")
@@ -52,7 +52,7 @@ def case_arrays(case: str) -> list[tuple[str, np.ndarray]]:
     name, dtype = case.split("/")
     model = RegistrationModel(preset(name), dtype=np.dtype(dtype), head_init="random")
     pair = synth_pair(PAIR_SEED, size=model.config.image_size)
-    loss = training._pair_loss(model, pair.fix, pair.mov, TrainConfig(augment=AugmentationSpec.none()))
+    loss = training._pair_loss(model, pair.fix, pair.mov, TrainConfig())
     backward(loss)
     arrays = [("loss", loss.data)]
     arrays += [(f"grad:{n}", t.grad) for n, t in model.params.items()]

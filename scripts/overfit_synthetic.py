@@ -30,7 +30,7 @@ def run_family(family: str, pair, args) -> dict:
         lam=0.01,
         batch_size=1,
         seed=args.seed,
-        augment=training.AugmentationSpec.none(),
+        augment=False,
     )
     record = ImagePair("synth", pair.fix, pair.mov)
     t0 = time.perf_counter()

@@ -20,10 +20,9 @@ from .svf import (
     resample_field,
     warp_image,
 )
-from .training import AugmentationSpec, TrainConfig, symmetric_loss, train
+from .training import TrainConfig, symmetric_loss, train
 
 __all__ = [
-    "AugmentationSpec",
     "ModelConfig",
     "ParamSet",
     "RegistrationModel",

@@ -53,7 +53,10 @@ def _resolve_model_config(section) -> models.ModelConfig:
 
 def cmd_train(args) -> int:
     _require(args.seed is None or args.seed >= 0, f"--seed must be a non-negative integer, got {args.seed}")
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        raw = json.loads(Path(args.config).read_text())
+    except RecursionError as e:
+        raise ConfigError(f"{args.config}: JSON nested too deeply to read") from e
     _require(isinstance(raw, dict), "config must be a JSON object with model/train/data sections")
     for key in raw:
         _require(key in ("model", "train", "data"), f"config has unknown section {key!r}")

@@ -52,7 +52,7 @@ def config_from_dict(cls, d, where: str):
     """Read JSON object ``d`` into config dataclass ``cls``.
 
     Each value is checked against its field's annotation: int, float,
-    bool, str, ``X | None``, ``tuple[...]``, ``list[...]`` or a nested
+    bool, str, ``X | None``, ``list[...]`` or a nested
     config dataclass, read the same way. Unknown keys, wrong types and
     missing fields that have no default raise a one-line
     :class:`ConfigError` that names the key path from ``where``; other
@@ -82,23 +82,21 @@ def _from_json(tp, value, where: str):
         return _from_json(tp, value, where)
     if origin is list and isinstance(value, list):
         return [_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if origin is tuple and isinstance(value, list) and len(value) == len(args):
-        return tuple(_from_json(args[i], v, f"{where}[{i}]") for i, v in enumerate(value))
     # scalars match exactly (a bool is no int), except that an int is a float too
     if origin is None and (type(value) is tp or tp is float and type(value) is int):
         return value
-    expected = {list: "a list", tuple: f"a list of {len(args)}"}.get(origin, tp.__name__)
+    expected = "a list" if origin is list else tp.__name__
     raise ConfigError(f"{where} must be {expected}, got {type(value).__name__}")
 
 
 def config_to_dict(obj):
     """JSON form of config dataclass ``obj``, the inverse of
-    :func:`config_from_dict`: nested dataclasses become objects, tuples
-    become lists, and fields holding None are left out."""
+    :func:`config_from_dict`: nested dataclasses become objects and
+    fields holding None are left out."""
     if is_dataclass(obj):
         values = {f.name: getattr(obj, f.name) for f in fields(obj)}
         return {key: config_to_dict(v) for key, v in values.items() if v is not None}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [config_to_dict(v) for v in obj]
     return obj
 
@@ -419,7 +417,7 @@ def load_checkpoint(path) -> RegistrationModel:
             raise CheckpointError(f"{path}: truncated header length")
         try:
             header = json.loads(fh.read(struct.unpack("<I", hlen)[0]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointError(f"{path}: unreadable header ({e})") from e
         payload = fh.read()
     if not isinstance(header, dict):

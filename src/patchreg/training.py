@@ -1,6 +1,10 @@
 """Training machinery: symmetric similarity loss with a smoothness
 penalty, Adam, paired data augmentation, and the epoch loop with early
 stopping on validation loss.
+
+Augmentation follows one fixed protocol, the paper's: seven paired
+transforms at the ranges of the module constants below. A
+:class:`TrainConfig` switches it on or off as a whole.
 """
 
 from __future__ import annotations
@@ -8,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,60 +33,16 @@ from .gradcore import (
 from .models import ConfigError, RegistrationModel, RegistrationResult, save_checkpoint
 from .svf import VectorField, aligned_grid, identity_grid, sample, warp_image
 
-AUGMENT_PROB = 0.5  # per-transform apply probability, fixed
-
-
-@dataclass
-class AugmentationSpec:
-    """Toggles and ranges for the seven paired augmentations.
-
-    The same sampled transform is applied to both images of a pair,
-    including the speckle noise field.
-    """
-
-    rotate: bool = True
-    rotate_deg: float = 15.0
-    crop: bool = True
-    crop_min_scale: float = 0.8
-    brightness: bool = True
-    brightness_delta: float = 0.2
-    contrast: bool = True
-    contrast_range: tuple[float, float] = (0.8, 1.25)
-    sharpen: bool = True
-    sharpen_amount: tuple[float, float] = (0.5, 1.0)
-    blur: bool = True
-    blur_sigma: tuple[float, float] = (0.5, 1.5)
-    speckle: bool = True
-    speckle_var: float = 0.01
-
-    @classmethod
-    def none(cls) -> "AugmentationSpec":
-        return cls(
-            rotate=False,
-            crop=False,
-            brightness=False,
-            contrast=False,
-            sharpen=False,
-            blur=False,
-            speckle=False,
-        )
-
-    def validate(self) -> None:
-        """Each value must give ``augment_pair`` a range it can draw from:
-        finite, low <= high and of finite width."""
-        d, b = self.rotate_deg, self.brightness_delta
-        ranges = {
-            "rotate_deg": ((-d, d), "finite and >= 0"),
-            "crop_min_scale": ((self.crop_min_scale, 1.0), "in (0, 1]"),
-            "brightness_delta": ((-b, b), "finite and >= 0"),
-            "contrast_range": (self.contrast_range, "finite with low <= high"),
-            "sharpen_amount": (self.sharpen_amount, "finite with low <= high"),
-            "blur_sigma": (self.blur_sigma, "finite with low <= high"),
-            "speckle_var": ((0.0, self.speckle_var), "finite and >= 0"),
-        }
-        for key, ((low, high), rule) in ranges.items():
-            if not (math.isfinite(high - low) and low <= high) or (key == "crop_min_scale" and low <= 0):
-                raise ConfigError(f"train.augment.{key} must be {rule}, got {getattr(self, key)!r}")
+# The paper's augmentation protocol: each of the seven transforms is applied
+# with probability AUGMENT_PROB, its parameter drawn uniformly from its range.
+AUGMENT_PROB = 0.5
+ROTATE_DEG = 15.0  # angle in [-ROTATE_DEG, ROTATE_DEG]
+CROP_MIN_SCALE = 0.8  # crop side in [CROP_MIN_SCALE, 1] of the image side
+BRIGHTNESS_DELTA = 0.2  # offset in [-BRIGHTNESS_DELTA, BRIGHTNESS_DELTA]
+CONTRAST_RANGE = (0.8, 1.25)
+SHARPEN_AMOUNT = (0.5, 1.0)
+BLUR_SIGMA = (0.5, 1.5)
+SPECKLE_VAR = 0.01  # variance of the multiplicative Gaussian noise, not drawn
 
 
 @dataclass
@@ -93,8 +53,7 @@ class TrainConfig:
     lam: float = 0.01
     batch_size: int = 8
     seed: int = 0
-    literal_regularizer: bool = False
-    augment: AugmentationSpec = field(default_factory=AugmentationSpec)
+    augment: bool = True
 
     def validate(self) -> None:
         if not (math.isfinite(self.lr) and math.isfinite(self.lam)):
@@ -107,7 +66,6 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"train.seed must be a non-negative integer, got {self.seed}")
-        self.augment.validate()
 
 
 class TrainingDiverged(RuntimeError):
@@ -127,13 +85,12 @@ def mse(a, b) -> Tensor:
     return mean_all(mul(d, d))
 
 
-def diffusion_regularizer(disp: VectorField, literal: bool = False) -> Tensor:
+def diffusion_regularizer(disp: VectorField) -> Tensor:
     """Smoothness penalty on a displacement field.
 
     Forward differences per channel, zero beyond the last row/column
-    (clamped edge), averaged over all pixels. The default sums the
-    squared x and y difference images; ``literal=True`` instead adds the
-    x and y differences per channel before squaring.
+    (clamped edge), averaged over all pixels: the squared x and y
+    difference images, summed.
     """
     u = disp.data
     _, h, w = u.shape
@@ -141,25 +98,19 @@ def diffusion_regularizer(disp: VectorField, literal: bool = False) -> Tensor:
              slice_tensor(u, (slice(None), slice(None), slice(0, w - 1))))
     dy = sub(slice_tensor(u, (slice(None), slice(1, None), slice(None))),
              slice_tensor(u, (slice(None), slice(0, h - 1), slice(None))))
-    if literal:
-        core_x = slice_tensor(dx, (slice(None), slice(0, h - 1), slice(None)))
-        core_y = slice_tensor(dy, (slice(None), slice(None), slice(0, w - 1)))
-        s = add(core_x, core_y)
-        total = cmul(mean_all(mul(s, s)), 2.0 * (h - 1) * (w - 1) / (h * w))
-        return total
     sx = cmul(mean_all(mul(dx, dx)), 2.0 * h * (w - 1) / (h * w))
     sy = cmul(mean_all(mul(dy, dy)), 2.0 * (h - 1) * w / (h * w))
     return add(sx, sy)
 
 
-def symmetric_loss(fix, mov, result: RegistrationResult, lam: float, literal_regularizer: bool = False) -> Tensor:
+def symmetric_loss(fix, mov, result: RegistrationResult, lam: float) -> Tensor:
     """Two-way similarity plus smoothness:
     mse(forward-warped moving, fixed) + mse(inverse-warped fixed, moving)
     + lam * regularizer(forward displacement)."""
     warped_mov = warp_image(mov, result.disp_forward)
     warped_fix = warp_image(fix, result.disp_inverse)
     data_term = add(mse(warped_mov, fix), mse(warped_fix, mov))
-    reg = diffusion_regularizer(result.disp_forward, literal=literal_regularizer)
+    reg = diffusion_regularizer(result.disp_forward)
     return add(data_term, cmul(reg, lam))
 
 
@@ -222,42 +173,41 @@ def _crop_resize(img: np.ndarray, oy: int, ox: int, ch: int, cw: int) -> np.ndar
     return sample(img, grid).data
 
 
-def augment_pair(
-    fix: np.ndarray, mov: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply each enabled transform with probability 0.5, sampling its
-    parameters once and applying them identically to both images.
-    Intensities are re-clamped to [0, 1] after every transform."""
+def augment_pair(fix: np.ndarray, mov: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Apply each of the seven transforms with probability
+    :data:`AUGMENT_PROB`, sampling its parameters once and applying them
+    identically to both images, speckle noise field included. Intensities
+    are re-clamped to [0, 1] after every transform."""
     imgs = [np.asarray(fix, dtype=np.float64), np.asarray(mov, dtype=np.float64)]
     h, w = imgs[0].shape
 
     def clamp(ims):
         return [np.clip(im, 0.0, 1.0) for im in ims]
 
-    if spec.rotate and rng.random() < AUGMENT_PROB:
-        deg = rng.uniform(-spec.rotate_deg, spec.rotate_deg)
+    if rng.random() < AUGMENT_PROB:
+        deg = rng.uniform(-ROTATE_DEG, ROTATE_DEG)
         imgs = clamp([_rotate(im, deg) for im in imgs])
-    if spec.crop and rng.random() < AUGMENT_PROB:
-        s = rng.uniform(spec.crop_min_scale, 1.0)
+    if rng.random() < AUGMENT_PROB:
+        s = rng.uniform(CROP_MIN_SCALE, 1.0)
         ch = max(2, round(s * h))
         cw = max(2, round(s * w))
         oy = int(rng.integers(0, h - ch + 1))
         ox = int(rng.integers(0, w - cw + 1))
         imgs = clamp([_crop_resize(im, oy, ox, ch, cw) for im in imgs])
-    if spec.brightness and rng.random() < AUGMENT_PROB:
-        delta = rng.uniform(-spec.brightness_delta, spec.brightness_delta)
+    if rng.random() < AUGMENT_PROB:
+        delta = rng.uniform(-BRIGHTNESS_DELTA, BRIGHTNESS_DELTA)
         imgs = clamp([im + delta for im in imgs])
-    if spec.contrast and rng.random() < AUGMENT_PROB:
-        f = rng.uniform(*spec.contrast_range)
+    if rng.random() < AUGMENT_PROB:
+        f = rng.uniform(*CONTRAST_RANGE)
         imgs = clamp([(im - 0.5) * f + 0.5 for im in imgs])
-    if spec.sharpen and rng.random() < AUGMENT_PROB:
-        amount = rng.uniform(*spec.sharpen_amount)
+    if rng.random() < AUGMENT_PROB:
+        amount = rng.uniform(*SHARPEN_AMOUNT)
         imgs = clamp([im + amount * (im - gaussian_blur(im, 1.0)) for im in imgs])
-    if spec.blur and rng.random() < AUGMENT_PROB:
-        sigma = rng.uniform(*spec.blur_sigma)
+    if rng.random() < AUGMENT_PROB:
+        sigma = rng.uniform(*BLUR_SIGMA)
         imgs = clamp([gaussian_blur(im, sigma) for im in imgs])
-    if spec.speckle and rng.random() < AUGMENT_PROB:
-        noise = rng.normal(0.0, math.sqrt(spec.speckle_var), size=(h, w))
+    if rng.random() < AUGMENT_PROB:
+        noise = rng.normal(0.0, math.sqrt(SPECKLE_VAR), size=(h, w))
         imgs = clamp([im * (1.0 + noise) for im in imgs])
     return imgs[0], imgs[1]
 
@@ -291,7 +241,7 @@ def _pair_loss(model: RegistrationModel, fix, mov, cfg: TrainConfig) -> Tensor:
     """The pair's symmetric loss, images cast once to the model dtype."""
     fix, mov = model.check_images(fix, mov)
     result = model.register(fix, mov)
-    return symmetric_loss(fix, mov, result, cfg.lam, cfg.literal_regularizer)
+    return symmetric_loss(fix, mov, result, cfg.lam)
 
 
 def evaluate_loss(model: RegistrationModel, pairs, cfg: TrainConfig) -> float:
@@ -318,8 +268,9 @@ def train(
     cfg: TrainConfig,
     out_dir: Path | str | None = None,
 ) -> TrainResult:
-    """Epoch loop with shuffled batches, paired augmentation on the
-    training split only, and early stopping on validation loss.
+    """Epoch loop with shuffled batches, paired augmentation (when
+    ``cfg.augment``) on the training split only, and early stopping on
+    validation loss.
 
     Each pair's loss, scaled by 1/batch, is backpropagated on its own
     and its graph freed before the next pair's forward, so the parameter
@@ -357,7 +308,9 @@ def train(
             model.params.zero_grads()
             pair_losses: list[float] = []
             for pair in batch:
-                fix, mov = augment_pair(pair.fix, pair.mov, cfg.augment, rng)
+                fix, mov = pair.fix, pair.mov
+                if cfg.augment:
+                    fix, mov = augment_pair(fix, mov, rng)
                 loss = _pair_loss(model, fix, mov, cfg)
                 value = loss.item()
                 if not math.isfinite(value):

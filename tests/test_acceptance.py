@@ -28,9 +28,15 @@ from patchreg.svf import (
     random_smooth_velocity,
     warp_image,
 )
-from patchreg.training import AugmentationSpec, TrainConfig, symmetric_loss, train
+from patchreg.training import TrainConfig, symmetric_loss, train
 
 GOLDEN = Path(__file__).parent / "data" / "golden_presets.json"
+# the paper's augmentation protocol, pinned with the presets
+AUGMENTATION = {
+    name: getattr(training, name)
+    for name in ("AUGMENT_PROB", "ROTATE_DEG", "CROP_MIN_SCALE", "BRIGHTNESS_DELTA",
+                 "CONTRAST_RANGE", "SHARPEN_AMOUNT", "BLUR_SIGMA", "SPECKLE_VAR")
+}
 
 
 def ok(criterion: int, message: str) -> None:
@@ -130,7 +136,7 @@ def test_criterion_4_overfit_recovery(family, tmp_path):
         lam=0.01,
         batch_size=1,
         seed=0,
-        augment=AugmentationSpec.none(),
+        augment=False,
     )
     record = ImagePair("overfit", pair.fix, pair.mov)
     result = train(model, [record], [record], cfg)
@@ -362,9 +368,10 @@ def test_criterion_9_config_fidelity():
     snapshot = {
         "model_presets": {name: models.config_to_dict(preset(name)) for name in models.PRESET_NAMES},
         "train_defaults": models.config_to_dict(TrainConfig()),
+        "augmentation": AUGMENTATION,
     }
     golden = json.loads(GOLDEN.read_text())
-    assert snapshot == golden
+    assert json.loads(json.dumps(snapshot)) == golden  # tuples read back as lists
 
     for fam in ("pure_mlp", "mlp_mixer", "swin_trans"):
         multi = preset(f"{fam}_m")

@@ -274,7 +274,7 @@ def test_multiscale_gradients_reach_every_child(pair32):
 
 def test_multiscale_training_improves(pair32):
     from patchreg.dataio import ImagePair
-    from patchreg.training import AugmentationSpec, TrainConfig, train
+    from patchreg.training import TrainConfig, train
 
     cfg = ModelConfig(
         family="pure_mlp",
@@ -286,9 +286,7 @@ def test_multiscale_training_improves(pair32):
     )
     model = init_model(cfg)
     pair = ImagePair("ms", pair32.fix, pair32.mov)
-    tc = TrainConfig(
-        lr=2e-3, max_epochs=60, patience=60, batch_size=1, augment=AugmentationSpec.none()
-    )
+    tc = TrainConfig(lr=2e-3, max_epochs=60, patience=60, batch_size=1, augment=False)
     result = train(model, [pair], [pair], tc)
     assert result.log[-1].train_loss < result.log[0].train_loss
 
@@ -414,12 +412,6 @@ def test_config_round_trips_through_dict():
     for name in models.PRESET_NAMES:
         cfg = preset(name)
         assert ModelConfig.from_dict(models.config_to_dict(cfg)) == cfg, name
-    augment = training.AugmentationSpec(
-        contrast_range=(0.5, 2.0), sharpen_amount=(0.1, 0.2), blur_sigma=(1.0, 3.0)
-    )
-    train_cfg = training.TrainConfig(lr=3e-4, augment=augment)
-    again = models.config_from_dict(training.TrainConfig, models.config_to_dict(train_cfg), "train")
-    assert again == train_cfg
 
 
 # ---------------------------------------------------------------------------

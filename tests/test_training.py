@@ -18,7 +18,6 @@ from patchreg.models import ConfigError, RegistrationResult, init_model
 from patchreg.svf import DISPLACEMENT, VectorField, random_smooth_velocity
 from patchreg.training import (
     Adam,
-    AugmentationSpec,
     TrainConfig,
     TrainingDiverged,
     augment_pair,
@@ -126,13 +125,10 @@ def test_regularizer_linear_field_analytic():
     assert abs(got - expected) < 1e-6
 
 
-def test_regularizer_literal_variant():
+def test_regularizer_field_with_x_and_y_gradients():
     h = w = 10
     gy, gx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
     arr = np.stack([0.1 * gx, 0.2 * gy])
-    literal = diffusion_regularizer(VectorField(arr, DISPLACEMENT), literal=True).item()
-    expected = (0.1**2 + 0.2**2) * (h - 1) * (w - 1) / (h * w)
-    assert abs(literal - expected) < 1e-6
     standard = diffusion_regularizer(VectorField(arr, DISPLACEMENT)).item()
     expected_std = (0.1**2 * h * (w - 1) + 0.2**2 * (h - 1) * w) / (h * w)
     assert abs(standard - expected_std) < 1e-6
@@ -194,26 +190,39 @@ def test_adam_converges_on_quadratic_bowl():
 # augmentation
 
 
-def test_augment_all_disabled_returns_pair_unchanged():
-    rng = np.random.default_rng(3)
-    fix, mov = rng.uniform(size=(24, 24)), rng.uniform(size=(24, 24))
-    out_fix, out_mov = augment_pair(fix, mov, AugmentationSpec.none(), np.random.default_rng(0))
-    assert np.array_equal(out_fix, fix)
-    assert np.array_equal(out_mov, mov)
+def test_augment_all_disabled_returns_pair_unchanged(monkeypatch):
+    # with augment off, train hands every pair to the loss as it is and
+    # never calls augment_pair
+    pair = desk_pair()
+    seen = []
+    real_pair_loss = training._pair_loss
+
+    def pair_loss(model, fix, mov, cfg):
+        seen.append((fix, mov))
+        return real_pair_loss(model, fix, mov, cfg)
+
+    def no_augment(*args):
+        raise AssertionError("augment_pair called with augment off")
+
+    monkeypatch.setattr(training, "_pair_loss", pair_loss)
+    monkeypatch.setattr(training, "augment_pair", no_augment)
+    train(init_model(models.preset("pure_mlp_desk")), [pair], [pair], quick_config(max_epochs=2, patience=2))
+    assert len(seen) == 4  # one training and one validation loss per epoch
+    assert all(fix is pair.fix and mov is pair.mov for fix, mov in seen)
 
 
 def test_augment_identical_inputs_stay_identical():
     img = np.random.default_rng(4).uniform(size=(32, 32))
     for seed in range(8):
-        a, b = augment_pair(img, img.copy(), AugmentationSpec(), np.random.default_rng(seed))
+        a, b = augment_pair(img, img.copy(), np.random.default_rng(seed))
         assert np.array_equal(a, b)
 
 
 def test_augment_deterministic_given_seed():
     rng = np.random.default_rng(5)
     fix, mov = rng.uniform(size=(24, 24)), rng.uniform(size=(24, 24))
-    a1, b1 = augment_pair(fix, mov, AugmentationSpec(), np.random.default_rng(99))
-    a2, b2 = augment_pair(fix, mov, AugmentationSpec(), np.random.default_rng(99))
+    a1, b1 = augment_pair(fix, mov, np.random.default_rng(99))
+    a2, b2 = augment_pair(fix, mov, np.random.default_rng(99))
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
@@ -221,7 +230,7 @@ def test_augment_output_stays_in_range():
     rng = np.random.default_rng(6)
     fix, mov = rng.uniform(size=(24, 24)), rng.uniform(size=(24, 24))
     for seed in range(10):
-        a, b = augment_pair(fix, mov, AugmentationSpec(), np.random.default_rng(seed))
+        a, b = augment_pair(fix, mov, np.random.default_rng(seed))
         for im in (a, b):
             assert im.min() >= 0.0 and im.max() <= 1.0
 
@@ -230,7 +239,7 @@ def test_augment_changes_something():
     rng = np.random.default_rng(7)
     fix, mov = rng.uniform(size=(24, 24)), rng.uniform(size=(24, 24))
     changed = any(
-        not np.array_equal(augment_pair(fix, mov, AugmentationSpec(), np.random.default_rng(s))[0], fix)
+        not np.array_equal(augment_pair(fix, mov, np.random.default_rng(s))[0], fix)
         for s in range(10)
     )
     assert changed
@@ -278,7 +287,7 @@ def quick_config(**kw):
         lam=0.01,
         batch_size=1,
         seed=0,
-        augment=AugmentationSpec.none(),
+        augment=False,
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -310,7 +319,7 @@ def test_training_deterministic_logs():
 
     def run():
         model = init_model(models.preset("pure_mlp_desk"))
-        cfg = quick_config(max_epochs=4, patience=4, augment=AugmentationSpec())
+        cfg = quick_config(max_epochs=4, patience=4, augment=True)
         return train(model, [pair], [pair], cfg)
 
     r1, r2 = run(), run()
@@ -338,8 +347,7 @@ def test_best_checkpoint_holds_the_best_epoch(tmp_path):
 
     def run(max_epochs, out):
         model = init_model(models.preset("pure_mlp_desk"))
-        cfg = quick_config(max_epochs=max_epochs, patience=min(3, max_epochs), batch_size=2,
-                           augment=AugmentationSpec())
+        cfg = quick_config(max_epochs=max_epochs, patience=min(3, max_epochs), batch_size=2, augment=True)
         return train(model, train_pairs, val_pairs, cfg, out_dir=out)
 
     full = run(12, tmp_path / "full")
@@ -425,7 +433,7 @@ _PEAK_RSS_SCRIPT = """
 import resource, sys
 from patchreg import dataio, models
 from patchreg.dataio import ImagePair
-from patchreg.training import AugmentationSpec, TrainConfig, train
+from patchreg.training import TrainConfig, train
 
 n = int(sys.argv[1])
 pairs = []
@@ -433,7 +441,7 @@ for i in range(n):
     p = dataio.synth_pair(i, size=128, max_disp=3.0)
     pairs.append(ImagePair(str(i), p.fix, p.mov))
 model = models.init_model(models.preset("swin_trans_s"))
-cfg = TrainConfig(max_epochs=1, patience=0, batch_size=n, augment=AugmentationSpec.none())
+cfg = TrainConfig(max_epochs=1, patience=0, batch_size=n, augment=False)
 train(model, pairs, pairs[:1], cfg)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
@@ -458,7 +466,7 @@ def _pair_step_peak(name):
     """tracemalloc peak of one 128x128 pair loss plus backward of ``name``."""
     model = init_model(models.preset(name))
     p = dataio.synth_pair(0, size=128, max_disp=3.0)
-    cfg = TrainConfig(augment=AugmentationSpec.none())
+    cfg = TrainConfig()
     tracemalloc.start()
     try:
         backward(training._pair_loss(model, p.fix, p.mov, cfg))
@@ -520,6 +528,6 @@ def test_train_config_validation():
 
 
 def test_train_config_round_trip():
-    cfg = TrainConfig(lr=3e-4, augment=AugmentationSpec(rotate=False))
+    cfg = TrainConfig(lr=3e-4, augment=False)
     again = models.config_from_dict(TrainConfig, models.config_to_dict(cfg), "train")
     assert again == cfg
