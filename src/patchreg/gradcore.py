@@ -23,8 +23,9 @@ Besides the elementary kernels there are two fused kernels.
 ``softmax(scale * q @ kᵀ + bias + mask) @ v`` on ``[n_windows, t, d]``
 windows, with the heads split inside as views. The scale is folded into
 ``q`` before the product, so the ``[n_windows, heads, t, t]`` logits
-live in one buffer that bias, mask and softmax update in place; the node
-keeps the scaled ``q``, ``k``, ``v`` and the probabilities. The mask may
+live in one buffer that the bias (from a contiguous ``[heads, t, t]``
+copy), the mask and the softmax update in place; the node keeps the
+scaled ``q``, ``k``, ``v`` and the probabilities. The mask may
 hold ``-inf`` as long as every row of every window keeps a finite logit.
 :func:`mlp_branch` is the pre-norm MLP sub-layer every block ends in,
 ``gelu(layer_norm(x) @ w1 + b1) @ w2 + b2``, with the arithmetic of
@@ -530,8 +531,11 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale:
 
     ``scale`` multiplies ``q``, not the logits, so the logits are computed
     once into one buffer; bias, mask, the max-subtracted softmax and its
-    normalisation all update that buffer in place. The node keeps the
-    scaled ``q``, ``k``, ``v`` and the probabilities. The backward
+    normalisation all update that buffer in place. The bias is added from
+    a contiguous ``[heads, t, t]`` copy: the add reads it once per window,
+    and through the strided head-last view it took about four times as
+    long. The node keeps the scaled ``q``, ``k``, ``v`` and the
+    probabilities. The backward
     returns the gradients of ``q``, ``k``, ``v`` and ``bias`` in their
     input shapes; the bias gradient is the logits gradient summed over
     the window axis.
@@ -555,7 +559,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, mask, scale:
     qs, kd, vd = (a.data.reshape(split).transpose(0, 2, 1, 3) for a in (q, k, v))
     qs = qs * scale
     p = qs @ kd.swapaxes(-1, -2)
-    p += bias.data.transpose(2, 0, 1)
+    p += np.ascontiguousarray(bias.data.transpose(2, 0, 1))
     if mask is not None:
         p += mask[:, None]
     p -= np.fmax.reduce(p, axis=-1, keepdims=True)
@@ -724,12 +728,19 @@ def backward(root: Tensor) -> None:
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    """Normal(0, std) resampled until everything lies within 2 std."""
+    """Normal(0, std) resampled until everything lies within 2 std.
+
+    Each round draws one value for every entry still out of range, in
+    ascending flat-index order, and checks only those new draws; entries
+    already in range are not looked at again.
+    """
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)  # a view: ``out`` is a fresh C-order array
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
     return out
 
 
@@ -772,7 +783,7 @@ class ParamSet:
             arr = np.zeros(shape)
         else:
             arr = np.ones(shape)
-        t = Tensor(arr.astype(self.dtype))
+        t = Tensor(arr.astype(self.dtype, order="C"))  # Adam walks it flat
         self._params[name] = t
         return t
 

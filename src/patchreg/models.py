@@ -82,8 +82,15 @@ def _from_json(tp, value, where: str):
         return _from_json(tp, value, where)
     if origin is list and isinstance(value, list):
         return [_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
-    # scalars match exactly (a bool is no int), except that an int is a float too
-    if origin is None and (type(value) is tp or tp is float and type(value) is int):
+    # scalars match exactly (a bool is no int), except that an int a float
+    # can hold is a float too; it keeps its JSON type
+    if origin is None and type(value) is tp:
+        return value
+    if tp is float and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a float") from None
         return value
     expected = "a list" if origin is list else tp.__name__
     raise ConfigError(f"{where} must be {expected}, got {type(value).__name__}")

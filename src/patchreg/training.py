@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gradcore
 from .filters import gaussian_blur
 from .gradcore import (
+    ContractError,
     ParamSet,
     Tensor,
     add,
@@ -124,7 +126,15 @@ ADAM_EPS = 1e-8
 
 class Adam:
     """Adam with bias correction (:data:`ADAM_BETAS`, :data:`ADAM_EPS`);
-    gradients must be zeroed by the caller between steps."""
+    gradients must be zeroed by the caller between steps.
+
+    :meth:`step` updates each parameter and its moments ``m`` and ``v`` in
+    place, over flat blocks of ``gradcore._ROW_BLOCK`` values with two
+    block-sized scratch buffers. Per block it runs the ufuncs of
+    ``m = b1·m + (1-b1)·g``, ``v = b2·v + ((1-b2)·g)·g`` and
+    ``p -= (lr/bc1)·m / (sqrt(v/bc2) + eps)`` in that order, so every value
+    has the bits of the same update written as whole-array expressions.
+    """
 
     def __init__(self, params: ParamSet, lr: float = 1e-4):
         self.params = params
@@ -133,23 +143,38 @@ class Adam:
         for t in params.tensors():
             if t.grad is None:  # step() may run before any backward reaches it
                 t.grad = np.zeros_like(t.data)
-        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
+        # flat, as step() walks them; each parameter is C-contiguous (ParamSet)
+        self.m = {n: np.zeros(t.size, t.dtype) for n, t in params.items()}
+        self.v = {n: np.zeros(t.size, t.dtype) for n, t in params.items()}
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
+        block = gradcore._ROW_BLOCK
         for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p.data -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + ADAM_EPS)
+            if not p.data.flags.c_contiguous:  # its flat form would be a copy
+                raise ContractError(f"Adam: parameter {name} is not C-contiguous")
+            data, g = p.data.reshape(-1), p.grad.reshape(-1)
+            m, v = self.m[name], self.v[name]
+            scratch = np.empty((2, min(data.size, block)), data.dtype)
+            for i in range(0, data.size, block):
+                s = slice(i, i + block)
+                gb, mb, vb = g[s], m[s], v[s]
+                a, b = scratch[:, : gb.size]
+                mb *= b1
+                mb += np.multiply(1 - b1, gb, out=a)
+                vb *= b2
+                np.multiply(1 - b2, gb, out=a)
+                a *= gb
+                vb += a
+                np.multiply(self.lr / bc1, mb, out=a)
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += ADAM_EPS
+                a /= b
+                data[s] -= a
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,13 @@ def _weighted(weight):
         {"model": {"preset": "pure_mlp_desk"}, "train": {**_ONE_EPOCH, "patience": -3}, "data": _SYNTH_DATA},
         {"model": {"preset": "pure_mlp_desk", "seed": -2}, "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": {"preset": "pure_mlp_desk"}, "train": {**_ONE_EPOCH, "seed": -3}, "data": _SYNTH_DATA},
+        {"model": {"preset": "pure_mlp_desk"}, "train": {"lr": 10**400}, "data": _SYNTH_DATA},
+        {"model": _weighted(10**400), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
     ],
     ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
          "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "steps-zero",
-         "weight-nan", "weight-inf", "patience-negative", "model-seed-negative", "train-seed-negative"],
+         "weight-nan", "weight-inf", "patience-negative", "model-seed-negative", "train-seed-negative",
+         "lr-int-overflow", "weight-int-overflow"],
 )
 def test_train_malformed_config_exit_2(tmp_path, synth_dir, config):
     assert_one_line_error(*train_with_config(tmp_path, config), 2)

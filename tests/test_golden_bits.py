@@ -22,6 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from patchreg import metrics
+
 ROOT = Path(__file__).resolve().parents[1]
 RTOL = {"float32": 1e-4, "float64": 1e-9}
 FLOOR = 1e-3
@@ -60,6 +62,11 @@ def test_pair_bits_match_the_golden_file(case):
         changed = [label for (label, a), r in zip(arrays, recorded) if golden_bits.digest(a) != r["sha256"]]
         assert not changed, f"{len(changed)} of {len(arrays)} arrays changed bits, first: {changed[:5]}"
         return
+    _assert_within_rounding(case, arrays, recorded)
+
+
+def _assert_within_rounding(case, arrays, recorded):
+    """Each array's float64 summary is the recorded one to ``RTOL`` of its scale."""
     rtol = RTOL[case.split("/")[1]]
     for (label, a), r, scale in zip(arrays, recorded, _scales(recorded)):
         now = golden_bits.summary(a)
@@ -84,3 +91,21 @@ def test_summary_bound_separates_kernel_noise_from_a_wrong_value():
     off = golden_bits.summary(a + np.float32(1e-3 * scale))
     assert all(abs(e - w) <= tol for (_, e), (_, w) in zip(ulp["entries"], r["entries"])), label
     assert any(abs(e - w) > tol for (_, e), (_, w) in zip(off["entries"], r["entries"])), label
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count():
+    """``evaluate_pairs`` registers on one BLAS thread; ``register`` and
+    ``train`` use every core. On the recorded key every array keeps its
+    bits. Elsewhere OpenBLAS may not: the Haswell kernel's sgemm changes
+    bits with the thread count, so there the summaries must agree to the
+    rounding bound."""
+    case = "swin_trans_s/float32"
+    free = golden_bits.case_arrays(case)
+    with metrics._one_blas_thread():
+        capped = golden_bits.case_arrays(case)
+    assert [label for label, _ in capped] == [label for label, _ in free]
+    if golden_bits.blas_key() == GOLDEN["key"]:
+        changed = [label for (label, a), (_, b) in zip(free, capped) if golden_bits.digest(a) != golden_bits.digest(b)]
+        assert not changed, f"{len(changed)} of {len(free)} arrays changed bits, first: {changed[:5]}"
+        return
+    _assert_within_rounding(case, capped, [{"label": label, **golden_bits.summary(a)} for label, a in free])

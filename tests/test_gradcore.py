@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchreg import gradcore as gc
+from patchreg import gradcore as gc, models
 from patchreg.gradcore import (
     ContractError,
     DimensionError,
@@ -257,6 +257,57 @@ def test_window_attention_matches_composite_chain():
         np.testing.assert_allclose(fused, oracle, rtol=1e-12, err_msg=name)
 
 
+def strided_bias_attention(q, k, v, bias, mask, scale):
+    """Oracle for ``window_attention`` with the bias added through its
+    transposed view; the rest is the kernel's own arithmetic."""
+    n, t, d = q.shape
+    heads = bias.shape[-1]
+    split = (n, t, heads, d // heads)
+    scale = q.dtype.type(scale)
+    qs, kd, vd = (a.data.reshape(split).transpose(0, 2, 1, 3) for a in (q, k, v))
+    qs = qs * scale
+    p = qs @ kd.swapaxes(-1, -2)
+    p += bias.data.transpose(2, 0, 1)
+    if mask is not None:
+        p += mask.astype(q.dtype)[:, None]
+    p -= np.fmax.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def merged(a, b):
+        out = np.empty((n, t, d), np.result_type(a, b))
+        np.matmul(a, b, out=out.reshape(split).transpose(0, 2, 1, 3))
+        return out
+
+    def backward_fn(g):
+        g = g.reshape(split).transpose(0, 2, 1, 3)
+        gv = merged(p.swapaxes(-1, -2), g)
+        gs = g @ vd.swapaxes(-1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gq = merged(gs, kd)
+        gq *= scale
+        return gq, merged(gs.swapaxes(-1, -2), qs), gv, gs.sum(axis=0).transpose(1, 2, 0)
+
+    return gc._node(merged(p, vd), (q, k, v, bias), backward_fn)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True], ids=["whole", "masked"])
+def test_window_attention_is_bit_identical_to_the_strided_bias_add(dtype, masked):
+    arrays, mask = attention_inputs(12, n=4, heads=4, t=16, d=32)
+    mask = mask if masked else None
+    results = []
+    for op in (gc.window_attention, strided_bias_attention):
+        ts = [Tensor(a.astype(dtype)) for a in arrays]
+        out = op(*ts, mask, 1.0 / np.sqrt(8.0))
+        r = np.random.default_rng(13).normal(size=out.shape).astype(dtype)
+        backward(gc.sum_all(gc.mul(out, Tensor(r))))
+        results.append([out.data] + [t.grad for t in ts])
+    for name, got, want in zip(("out", "q", "k", "v", "bias"), *results):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
+
+
 def test_window_attention_shape_errors():
     (q, k, v, bias), mask = attention_inputs(10)
     with pytest.raises(DimensionError, match="bias"):
@@ -496,6 +547,35 @@ def test_trunc_normal_bounded():
     ps = ParamSet(0, dtype=np.float64)
     t = ps.add("w", (1000,), std=0.02)
     assert np.abs(t.data).max() <= 0.04
+
+
+def whole_array_trunc_normal(rng, shape, std):
+    """Oracle for ``_trunc_normal``: each round rescans every value."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (0, 4), (3, 4, 5), (1024, 512)])
+def test_trunc_normal_is_bit_identical_to_the_whole_array_loop(shape):
+    fast, oracle = np.random.default_rng(4), np.random.default_rng(4)
+    got = gc._trunc_normal(fast, shape, 0.02)
+    want = whole_array_trunc_normal(oracle, shape, 0.02)
+    assert got.shape == want.shape == shape and got.tobytes() == want.tobytes()
+    assert fast.normal() == oracle.normal()  # both generators made the same draws
+
+
+@pytest.mark.parametrize("name", models.PRESET_NAMES)
+def test_seeded_preset_init_is_bit_identical_to_the_whole_array_loop(monkeypatch, name):
+    got = models.init_model(models.preset(name)).params
+    monkeypatch.setattr(gc, "_trunc_normal", whole_array_trunc_normal)
+    want = models.init_model(models.preset(name)).params
+    assert got.names() == want.names()
+    for n, t in got.items():
+        assert t.data.dtype == np.float32 and t.data.tobytes() == want[n].data.tobytes(), n
 
 
 # ---------------------------------------------------------------------------

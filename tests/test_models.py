@@ -390,6 +390,19 @@ def test_checkpoint_table_must_match_the_config(tmp_path, edit, message):
         load_checkpoint(path)
 
 
+def test_checkpoint_weight_too_large_for_a_float_is_checkpoint_error(tmp_path):
+    path = tmp_path / "m.prck"
+    save_checkpoint(init_model(preset("pure_mlp_desk")), path)
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[4:8])[0]
+    header = json.loads(raw[8 : 8 + hlen])
+    header["config"]["scales"][0]["weight"] = 10**400  # the payload and its hash stay valid
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+    with pytest.raises(CheckpointError, match="too large for a float"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_detects_corruption(tmp_path):
     model = init_model(desk_config("pure_mlp"))
     path = tmp_path / "m.prck"

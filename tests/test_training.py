@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchreg import dataio, models, training
+from patchreg import dataio, gradcore, models, training
 from patchreg.dataio import ImagePair
-from patchreg.gradcore import ParamSet, Tensor, add, backward, cmul, grad_check
+from patchreg.gradcore import ContractError, ParamSet, Tensor, add, backward, cmul, grad_check
 from patchreg.models import ConfigError, RegistrationResult, init_model
 from patchreg.svf import DISPLACEMENT, VectorField, random_smooth_velocity
 from patchreg.training import (
@@ -184,6 +184,59 @@ def test_adam_converges_on_quadratic_bowl():
         opt.step()
         p.zero_grad()
     assert np.linalg.norm(p.data) < 1e-3
+
+
+def whole_array_adam(params, grads, lr):
+    """Oracle for ``Adam.step``: the update as whole-array expressions,
+    one step per entry of ``grads``; ``params`` are updated in place."""
+    b1, b2 = training.ADAM_BETAS
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, step_grads in enumerate(grads, start=1):
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        for p, g, mp, vp in zip(params, step_grads, m, v):
+            mp *= b1
+            mp += (1 - b1) * g
+            vp *= b2
+            vp += (1 - b2) * g * g
+            p -= (lr / bc1) * mp / (np.sqrt(vp / bc2) + training.ADAM_EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [100, None], ids=["block-100", "default-block"])
+def test_adam_blocks_are_bit_identical_to_the_whole_array_update(monkeypatch, dtype, block):
+    # with 100 values per block, [2] is one short block, [10, 10] one full
+    # block, [7, 31] two full blocks and one of 17 values; at the default
+    # block [300, 250] is two full blocks and one of 9464 values
+    if block is not None:
+        monkeypatch.setattr(gradcore, "_ROW_BLOCK", block)
+    shapes = [(2,), (10, 10), (7, 31), (300, 250)]
+    ps = ParamSet(14, dtype=dtype)
+    tensors = [ps.add(f"p{i}", shape) for i, shape in enumerate(shapes)]
+    params = [t.data.copy() for t in tensors]
+    rng = np.random.default_rng(15)
+    grads = [
+        [(rng.normal(size=s) * 10.0 ** rng.uniform(-6, 2, size=s)).astype(dtype) for s in shapes]
+        for _ in range(3)
+    ]
+    opt = Adam(ps, lr=3e-3)
+    for step_grads in grads:
+        for t, g in zip(tensors, step_grads):
+            t.grad = np.asfortranarray(g)  # a gradient may come in any memory layout
+        opt.step()
+    whole_array_adam(params, grads, 3e-3)
+    for t, want in zip(tensors, params):
+        assert t.data.dtype == dtype and t.data.tobytes() == want.tobytes(), t.shape
+
+
+def test_adam_rejects_a_parameter_it_cannot_update_in_place():
+    ps = ParamSet(16, dtype=np.float64)
+    p = ps.add("p", (3, 4))
+    opt = Adam(ps)
+    p.data = p.data.T
+    with pytest.raises(ContractError, match="C-contiguous"):
+        opt.step()
 
 
 # ---------------------------------------------------------------------------
