@@ -25,6 +25,15 @@ parent's shows whether the change altered any CLI output:
 
 OUT_DIR must be empty or absent. Float results depend on the OpenBLAS
 kernel, so compare runs on one machine and kernel only.
+
+``--record`` runs the pipeline and writes ``tests/data/cli_digest.json``
+(or FILE): the BLAS key of ``golden_bits.blas_key()`` and, per path, its
+sha256 and whether it is kernel-free, that is whether re-runs in
+subprocesses under ``OPENBLAS_CORETYPE`` Haswell and Sandybridge hash it
+the same. ``tests/test_scripts.py`` compares a run with that record. A
+change that alters CLI output on purpose re-records it and says so:
+
+    python3 scripts/cli_digest.py --record [FILE]
 """
 
 import contextlib
@@ -32,12 +41,19 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from golden_bits import blas_key
 from patchreg.cli import main as cli
+
+RECORD = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_digest.json"
+KERNELS = ("Haswell", "Sandybridge")
 
 def run_pipeline(out: Path) -> None:
     """Write the pipeline's files under ``out``; the CLI's own messages go
@@ -99,7 +115,35 @@ def digest(out_dir) -> list[str]:
     ]
 
 
+def hashes(lines: list[str]) -> dict[str, str]:
+    """``{relative path: sha256}`` of digest lines."""
+    return {path: sha for sha, path in (line.split("  ", 1) for line in lines)}
+
+
+def digest_under(coretype: str, out: Path) -> list[str]:
+    """The digest lines of a run in a subprocess under ``OPENBLAS_CORETYPE``."""
+    proc = subprocess.run(
+        [sys.executable, __file__, str(out)], env={**os.environ, "OPENBLAS_CORETYPE": coretype},
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.splitlines()
+
+
+def record(path: Path) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        own = hashes(digest(Path(tmp) / "own"))
+        others = [hashes(digest_under(k, Path(tmp) / k)) for k in KERNELS]
+    files = {p: {"sha256": sha, "kernel_free": all(o.get(p) == sha for o in others)} for p, sha in own.items()}
+    body = ",\n".join(f"  {json.dumps(p)}: {json.dumps(r)}" for p, r in files.items())
+    path.write_text(f'{{\n "key": {json.dumps(blas_key())},\n "files": {{\n{body}\n }}\n}}\n')
+    free = sum(r["kernel_free"] for r in files.values())
+    print(f"recorded {len(files)} files, {free} kernel-free, to {path}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: cli_digest.py OUT_DIR")
-    print("\n".join(digest(sys.argv[1])))
+    if len(sys.argv) == 2 and sys.argv[1] != "--record":
+        print("\n".join(digest(sys.argv[1])))
+    elif 2 <= len(sys.argv) <= 3 and sys.argv[1] == "--record":
+        record(Path(sys.argv[2]) if len(sys.argv) == 3 else RECORD)
+    else:
+        raise SystemExit("usage: cli_digest.py OUT_DIR | cli_digest.py --record [FILE]")

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Record the bits of one seeded training pair of each small preset.
+"""Record the bits of one seeded training pair of each shipped preset.
 
-For the six ``_s`` and ``_desk`` presets in float32 and float64, with a
-random head (the zero head makes a trivial field): the ``_pair_loss`` of
-one synthetic pair, every parameter gradient after its ``backward``, and
-the velocity and both displacements of ``register`` under ``no_grad``.
-Each array is stored as a sha256 of its dtype, shape and bytes plus
-float64 summaries: sum, sum of squares and four fixed entries.
+For the nine ``_desk``, ``_s`` and ``_m`` presets in float32 and
+float64, with a random head (the zero head makes a trivial field): the
+``_pair_loss`` of one synthetic pair, every parameter gradient after its
+``backward``, and the velocity and both displacements of ``register``
+under ``no_grad``. Each array is stored as a sha256 of its dtype, shape
+and bytes plus float64 summaries: sum, sum of squares and four fixed
+entries.
 
 The file is keyed by the numpy version and the OpenBLAS version and
 kernel, because BLAS kernels round their products differently.
@@ -34,7 +35,11 @@ from patchreg.metrics import openblas_build
 from patchreg.models import RegistrationModel, preset
 from patchreg.training import TrainConfig
 
-PRESETS = ("pure_mlp_desk", "mlp_mixer_desk", "swin_trans_desk", "pure_mlp_s", "mlp_mixer_s", "swin_trans_s")
+PRESETS = (
+    "pure_mlp_desk", "mlp_mixer_desk", "swin_trans_desk",
+    "pure_mlp_s", "mlp_mixer_s", "swin_trans_s",
+    "pure_mlp_m", "mlp_mixer_m", "swin_trans_m",
+)
 DTYPES = ("float32", "float64")
 CASES = tuple(f"{name}/{dtype}" for name in PRESETS for dtype in DTYPES)
 PAIR_SEED = 0

@@ -1,4 +1,4 @@
-"""Bits of one seeded training pair per small preset, against the file
+"""Bits of one seeded training pair per shipped preset, against the file
 ``scripts/golden_bits.py`` writes (``tests/data/golden_bits.json``).
 
 On the numpy version, OpenBLAS version and kernel the file was recorded
