@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, models, svf, training
+from .files import write_file
 from .gradcore import DimensionError, grad_check, no_grad, set_grad_fault
 from .metrics import jacobian_stats, evaluate_pairs
 from .models import CheckpointError, ConfigError, init_model, load_checkpoint, preset
@@ -70,13 +71,12 @@ def cmd_train(args) -> int:
     train_cfg.validate()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     resolved = {
         "model": models.config_to_dict(model_cfg),
         "train": models.config_to_dict(train_cfg),
         "data": models.config_to_dict(data),
     }
-    (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
+    write_file(out / "resolved_config.json", json.dumps(resolved, indent=2, sort_keys=True).encode())
 
     train_pairs = dataio.load_image_pairs(data.manifest, data.train_split, model_cfg.image_size)
     val_pairs = dataio.load_image_pairs(data.manifest, data.val_split, model_cfg.image_size)
@@ -108,7 +108,6 @@ def cmd_register(args) -> int:
     with no_grad():
         result = model.register(fix, mov)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     svf.write_field(result.disp_forward, out / "disp_forward.prgf")
     svf.write_field(result.disp_inverse, out / "disp_inverse.prgf")
     warped = svf.warp_image(mov, result.disp_forward).data
@@ -126,7 +125,7 @@ def cmd_register(args) -> int:
         "mse_warped": float(((warped - fix) ** 2).mean()),
         "mse_identity": float(((mov - fix) ** 2).mean()),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    write_file(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True).encode())
     return 0
 
 
@@ -150,7 +149,6 @@ def cmd_synth(args) -> int:
     _require(args.size >= 16, f"--size must be at least 16, got {args.size}")
     _require(0 <= args.max_disp < args.size / 8, f"--max-disp must lie in [0, size/8), got {args.max_disp}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i in range(args.n):
         pair = dataio.synth_pair(args.seed + i, size=args.size, max_disp=args.max_disp)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import write_csv, write_file
 from .filters import gaussian_blur
 from .metrics import EvalPair, warp_mask
 from .svf import (
@@ -102,9 +103,8 @@ def _parse_pgm(path) -> tuple[np.ndarray, int]:
 
 def _write_p5(samples: np.ndarray, path) -> None:
     """Write integer-valued samples in 0..255 as 8-bit binary PGM."""
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{samples.shape[1]} {samples.shape[0]}\n255\n".encode("ascii"))
-        fh.write(samples.astype("u1").tobytes())
+    header = f"P5\n{samples.shape[1]} {samples.shape[0]}\n255\n".encode("ascii")
+    write_file(path, header, samples.astype("u1").tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -371,7 +371,6 @@ def export_synth_pair(pair: SynthPair, out_dir, pair_id: str, split: str = "trai
     fixed frame plays ED and the moving frame ES.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(pair.fix, out_dir / f"{pair_id}_ed.pgm")
     write_pgm(pair.mov, out_dir / f"{pair_id}_es.pgm")
     write_mask(pair.fix_mask, out_dir / f"{pair_id}_ed_mask.pgm")
@@ -389,7 +388,4 @@ def export_synth_pair(pair: SynthPair, out_dir, pair_id: str, split: str = "trai
 
 
 def write_manifest(rows: list[list[str]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(rows)
+    write_csv(path, MANIFEST_HEADER, rows)

@@ -12,7 +12,6 @@ NaN. The fold fraction ``neg_frac`` is the share of folded pixels.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
 import json
@@ -25,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import write_csv, write_file
 from .gradcore import DimensionError, no_grad
 from .svf import VectorField, identity_grid, jacobian_determinant, sample_nearest
 
@@ -186,23 +186,17 @@ class EvalReport:
 
     def write(self, out_dir: Path | str) -> None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pair_id", "structure", "dice", "hd", "msd"])
-            for r in self.rows:
-                writer.writerow([r.pair_id, r.structure, _fmt(r.dice), _fmt(r.hd), _fmt(r.msd)])
-        with open(out_dir / "jacobian.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pair_id", "jac_mean", "jac_std", "jac_min", "jac_neg_frac"])
-            for pair_id, s in self.jacobian_rows:
-                writer.writerow([pair_id, _fmt(s.mean), _fmt(s.std), _fmt(s.min), _fmt(s.neg_frac)])
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(self.aggregate(), fh, indent=2, sort_keys=True)
-        if self.skipped:
-            with open(out_dir / "skipped.log", "w") as fh:
-                for pair_id, reason in self.skipped:
-                    fh.write(f"{pair_id}: {reason}\n")
+        write_csv(out_dir / "metrics.csv", ["pair_id", "structure", "dice", "hd", "msd"],
+                  ([r.pair_id, r.structure, _fmt(r.dice), _fmt(r.hd), _fmt(r.msd)] for r in self.rows))
+        write_csv(out_dir / "jacobian.csv", ["pair_id", "jac_mean", "jac_std", "jac_min", "jac_neg_frac"],
+                  ([pair_id, _fmt(s.mean), _fmt(s.std), _fmt(s.min), _fmt(s.neg_frac)]
+                   for pair_id, s in self.jacobian_rows))
+        write_file(out_dir / "summary.json", json.dumps(self.aggregate(), indent=2, sort_keys=True).encode())
+        skipped = "".join(f"{pair_id}: {reason}\n" for pair_id, reason in self.skipped)
+        if skipped:
+            write_file(out_dir / "skipped.log", skipped.encode())
+        else:  # an earlier run's log must not outlive a run that skipped nothing
+            (out_dir / "skipped.log").unlink(missing_ok=True)
 
 
 def _fmt(x: float) -> str:

@@ -39,6 +39,7 @@ from .gradcore import (
     reshape,
     transpose,
 )
+from .files import write_file
 from .svf import VELOCITY, VectorField, integrate_svf, resample_field
 
 FAMILIES = ("pure_mlp", "mlp_mixer", "swin_trans")
@@ -407,11 +408,7 @@ def save_checkpoint(model: RegistrationModel, path) -> None:
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    write_file(path, _CKPT_MAGIC, struct.pack("<I", len(blob)), blob, payload)
 
 
 def load_checkpoint(path) -> RegistrationModel:
@@ -452,6 +449,6 @@ def load_checkpoint(path) -> RegistrationModel:
         model = RegistrationModel(config, values=arrays)
         if arrays:
             raise ValueError("parameter names do not match the stored config")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e})") from e
     return model

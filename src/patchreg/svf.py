@@ -40,6 +40,7 @@ from .gradcore import (
     as_tensor,
     cmul,
 )
+from .files import write_file
 from .filters import gaussian_blur
 
 
@@ -338,9 +339,8 @@ def write_field(f: VectorField, path) -> None:
     followed by y channel, little endian."""
     arr = f.array
     code = _CODE_FOR[arr.dtype]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", _MAGIC, f.height, f.width, code))
-        fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+    header = struct.pack("<4sIII", _MAGIC, f.height, f.width, code)
+    write_file(path, header, np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
 
 
 def read_field(path) -> VectorField:

@@ -9,7 +9,6 @@ transforms at the ranges of the module constants below. A
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcore
+from .files import write_csv
 from .filters import gaussian_blur
 from .gradcore import (
     ContractError,
@@ -278,14 +278,6 @@ def evaluate_loss(model: RegistrationModel, pairs, cfg: TrainConfig) -> float:
     return total / len(pairs)
 
 
-def write_log_csv(log: list[EpochLog], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "seconds"])
-        for row in log:
-            writer.writerow([row.epoch, f"{row.train_loss:.9g}", f"{row.val_loss:.9g}", f"{row.seconds:.3f}"])
-
-
 def train(
     model: RegistrationModel,
     train_pairs,
@@ -304,17 +296,17 @@ def train(
     batch loss is the mean of the pair losses.
 
     Training and validation run in the model dtype. The model ends with
-    the last epoch's parameters and no copy of them is kept. When
-    ``out_dir`` is given it is created first; ``best_checkpoint.prck``
-    is written each time the validation loss improves, and ``log.csv``
-    and ``checkpoint.prck`` (the last epoch) when training ends.
+    the last epoch's parameters and no copy of them is kept. With an
+    ``out_dir``, ``log.csv`` is rewritten at the end of every epoch,
+    ``best_checkpoint.prck`` each time the validation loss improves and
+    ``checkpoint.prck`` (the last epoch) when training ends, each replaced
+    whole: a run that diverges keeps its log and its best checkpoint.
     """
     cfg.validate()
     if not train_pairs or not val_pairs:
         raise ConfigError("training and validation splits must be non-empty")
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, lr=cfg.lr)
     log: list[EpochLog] = []
@@ -352,6 +344,9 @@ def train(
         log.append(
             EpochLog(epoch, float(np.mean(epoch_losses)), val_loss, time.perf_counter() - t0)
         )
+        if out_dir is not None:
+            write_csv(out_dir / "log.csv", ["epoch", "train_loss", "val_loss", "seconds"],
+                      ([r.epoch, f"{r.train_loss:.9g}", f"{r.val_loss:.9g}", f"{r.seconds:.3f}"] for r in log))
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
@@ -365,6 +360,5 @@ def train(
                 break
 
     if out_dir is not None:
-        write_log_csv(log, out_dir / "log.csv")
         save_checkpoint(model, out_dir / "checkpoint.prck")
     return TrainResult(log, best_epoch, best_val, steps, stopped_early)

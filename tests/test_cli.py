@@ -5,6 +5,7 @@ import copy
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import struct
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from patchreg import cli, dataio, models, training
 from patchreg.cli import main
-from patchreg.gradcore import GradCheckReport
-from patchreg.models import RegistrationModel, init_model, preset, save_checkpoint
+from patchreg.gradcore import GradCheckReport, cmul
+from patchreg.models import RegistrationModel, init_model, load_checkpoint, preset, save_checkpoint
 
 
 def read_log(path):
@@ -138,6 +139,27 @@ def test_resolved_config_reads_back_unchanged(tmp_path, synth_dir):
     resolved = first / "resolved_config.json"
     assert main(["train", "--config", str(resolved), "--out", str(second)]) == 0
     assert (second / "resolved_config.json").read_text() == resolved.read_text()
+
+
+def test_diverged_train_keeps_the_log_of_finished_epochs(tmp_path, synth_dir, monkeypatch):
+    """A loss that turns non-finite at epoch 3 ends in exit 1; the run
+    leaves the log of epochs 1 and 2 and its best checkpoint."""
+    pair_loss, calls = training._pair_loss, itertools.count(1)
+
+    def nan_at_epoch_3(model, fix, mov, cfg):
+        loss = pair_loss(model, fix, mov, cfg)
+        # one training and one validation pair per epoch: call 5 is epoch 3's training pair
+        return cmul(loss, math.nan) if next(calls) == 5 else loss
+
+    monkeypatch.setattr(training, "_pair_loss", nan_at_epoch_3)
+    out = tmp_path / "run"
+    rc, err = run_cli(["train", "--config", str(write_train_config(tmp_path, synth_dir, epochs=4)),
+                       "--out", str(out)])
+    assert_one_line_error(rc, err, 1)
+    assert "non-finite loss at epoch 3" in err
+    assert [row["epoch"] for row in read_log(out / "log.csv")] == ["1", "2"]
+    load_checkpoint(out / "best_checkpoint.prck")
+    assert not (out / "checkpoint.prck").exists()
 
 
 def test_train_missing_manifest_exit_2(tmp_path, capsys):
@@ -585,6 +607,20 @@ def test_evaluate_missing_mask_skipped_exit_0(tmp_path):
     assert rc == 0
     assert len(read_log(out / "jacobian.csv")) == 2
     assert "e001" in (out / "skipped.log").read_text()
+
+
+def test_evaluate_without_skips_removes_an_earlier_skipped_log(tmp_path):
+    """A second evaluate into the same directory that skips nothing leaves
+    no ``skipped.log`` from the first."""
+    ckpt = desk_checkpoint(tmp_path)
+    out = tmp_path / "report"
+    for name, drop in (("first", 1), ("second", None)):
+        (tmp_path / name).mkdir()
+        manifest = make_eval_manifest(tmp_path / name, n=2, drop_mask_for=drop)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                     "--split", "test", "--out", str(out)]) == 0
+        assert (out / "skipped.log").exists() == (drop is not None)
+    assert len(read_log(out / "jacobian.csv")) == 2
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -379,8 +379,9 @@ def rewrite_checkpoint(path, edit):
         (lambda t: t + [["extra", [2], np.zeros(2, "<f4")]], "names do not match"),
         (lambda t: t[1:], "no stored value"),
         (lambda t: [[t[0][0], [t[0][2].size], t[0][2].ravel()]] + t[1:], "stored shape"),
+        (lambda t: [[t[0][0], [2**70], t[0][2]]] + t[1:], "malformed checkpoint"),
     ],
-    ids=["extra", "missing", "reshaped"],
+    ids=["extra", "missing", "reshaped", "oversized"],
 )
 def test_checkpoint_table_must_match_the_config(tmp_path, edit, message):
     path = tmp_path / "m.prck"

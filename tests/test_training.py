@@ -1,6 +1,7 @@
 """Loss contracts, optimizer oracles, augmentation properties, and the
 training loop's early-stopping/determinism behavior."""
 
+import builtins
 import math
 import os
 import subprocess
@@ -564,6 +565,57 @@ def test_training_aborts_on_non_finite_loss():
         train(model, [bad], [bad], quick_config())
     assert exc.value.epoch == 1
     assert exc.value.pair_id == "poisoned"
+
+
+class _FailingSecondWrite:
+    """A file whose second ``write`` raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("injected write failure")
+        return self.fh.write(chunk)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_best(tmp_path, monkeypatch):
+    """The second best-checkpoint write raises halfway: the first one stays
+    whole and loadable, and no ``.tmp`` file is left beside it."""
+    pair = desk_pair()
+
+    def run(max_epochs, out):
+        model = init_model(models.preset("pure_mlp_desk"))
+        return train(model, [pair], [pair], quick_config(max_epochs=max_epochs, patience=max_epochs), out_dir=out)
+
+    run(1, tmp_path / "one_epoch")
+    real_open, opened = builtins.open, []
+
+    def open_failing_second_best(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(str(file)).startswith("best_checkpoint.prck"):
+            opened.append(file)
+            if len(opened) == 2:
+                return _FailingSecondWrite(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_failing_second_best)
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="injected"):
+        run(3, out)
+    monkeypatch.undo()
+    assert len(opened) == 2
+    best = out / "best_checkpoint.prck"
+    assert best.read_bytes() == (tmp_path / "one_epoch" / "best_checkpoint.prck").read_bytes()
+    models.load_checkpoint(best)
+    assert not list(out.glob("*.tmp"))
 
 
 def test_training_requires_non_empty_splits():
