@@ -55,6 +55,7 @@ from patchreg.cli import main as cli
 RECORD = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_digest.json"
 KERNELS = ("Haswell", "Sandybridge")
 
+
 def run_pipeline(out: Path) -> None:
     """Write the pipeline's files under ``out``; the CLI's own messages go
     to stderr."""
@@ -141,7 +142,7 @@ def record(path: Path) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 2 and sys.argv[1] != "--record":
+    if len(sys.argv) == 2 and not sys.argv[1].startswith("-"):
         print("\n".join(digest(sys.argv[1])))
     elif 2 <= len(sys.argv) <= 3 and sys.argv[1] == "--record":
         record(Path(sys.argv[2]) if len(sys.argv) == 3 else RECORD)
