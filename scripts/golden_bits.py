@@ -58,9 +58,9 @@ def case_arrays(case: str) -> list[tuple[str, np.ndarray]]:
     model = RegistrationModel(preset(name), dtype=np.dtype(dtype), head_init="random")
     pair = synth_pair(PAIR_SEED, size=model.config.image_size)
     loss = training._pair_loss(model, pair.fix, pair.mov, TrainConfig())
-    backward(loss)
+    grads = backward(loss)
     arrays = [("loss", loss.data)]
-    arrays += [(f"grad:{n}", t.grad) for n, t in model.params.items()]
+    arrays += [(f"grad:{n}", grads[t]) for n, t in model.params.items()]
     with no_grad():
         result = model.register(pair.fix, pair.mov)
     arrays += [

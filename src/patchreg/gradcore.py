@@ -10,13 +10,12 @@ it, and a node whose operands are all constants is a constant too and
 keeps no closure; :func:`backward` never reaches one. Images, loss
 targets and sampling grids are such constants. Inside a :func:`no_grad`
 block every operand counts as one, so every op output is a constant and
-a forward pass keeps no graph; the mode is per thread. Only leaves
-(parameters, inputs) keep a ``grad`` array: it is created by the first
-gradient that reaches the leaf (an optimizer gives parameters a zeroed
-one before that), and intermediate gradients are dropped as soon as
-they have been passed on. Gradients accumulate at the leaves across
-backward calls until explicitly zeroed, so training loops must zero
-parameter grads between steps.
+a forward pass keeps no graph; the mode is per thread. No tensor keeps
+a gradient: :func:`backward` returns the gradients of the leaves it
+reaches (parameters, inputs) in a dict keyed by tensor, and drops each
+intermediate gradient as soon as it has been passed on. A caller that
+sums several roots, such as a training batch, passes one dict to each
+call.
 
 Besides the elementary kernels there are two fused kernels.
 :func:`window_attention` is the windowed attention of the swin family:
@@ -96,24 +95,22 @@ def no_grad():
 
 
 class Tensor:
-    """Array value plus gradient slot, optionally produced by a graph node.
+    """Array value, optionally produced by a graph node.
 
     ``Tensor(x)`` is a differentiated leaf (a parameter, an input under
-    test): its ``grad`` is None until a gradient reaches it, then an
-    array of the same shape and dtype as ``data``. A non-leaf carries
-    the closure that routes its gradient to its parents and keeps no
-    ``grad``. ``requires_grad`` is False for a constant (see the module
-    docstring), which has no parents and no closure.
+    test): :func:`backward` returns its gradient under the tensor itself
+    as key. A non-leaf carries the closure that routes its gradient to
+    its parents. ``requires_grad`` is False for a constant (see the
+    module docstring), which has no parents and no closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype.type not in _FLOAT_TYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
         self.requires_grad = True
         self._parents: tuple[Tensor | None, ...] = ()
         self._backward = None
@@ -139,10 +136,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
@@ -153,7 +146,6 @@ def _node(data, parents, backward_fn) -> Tensor:
     :func:`no_grad`, the output is a constant."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     edges = tuple(p if p.requires_grad else None for p in parents) if _GRAD_MODE.enabled else ()
     out.requires_grad = edges.count(None) < len(edges)
     out._parents = edges if out.requires_grad else ()
@@ -687,20 +679,22 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into ``grad`` of every reachable leaf.
+def backward(root: Tensor, grads: dict[Tensor, np.ndarray] | None = None) -> dict[Tensor, np.ndarray]:
+    """d(root)/d(leaf) for every leaf the root reaches, keyed by leaf.
 
     The root must be scalar. Each node is visited exactly once, in
-    reverse topological order. A non-leaf node's gradient lives only
-    until it has been passed to its parents; only leaves keep ``grad``.
-    Constants are never reached: no node keeps an edge to one, and a
-    constant root makes this a no-op. Repeated calls without zeroing
-    add their gradients on top of the previous ones.
+    reverse topological order, and a non-leaf node's gradient lives only
+    until it has been passed to its parents. Each leaf's gradient is a
+    new array of its shape and dtype; given ``grads``, it is added into
+    the leaf's entry there instead, when there is one, and ``grads`` is
+    returned. Constants are never reached: no node keeps an edge to
+    one, and a constant root adds nothing.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+    grads = {} if grads is None else grads
     if not root.requires_grad:
-        return
+        return grads
     order = _toposort(root)
     flowing: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
@@ -708,10 +702,10 @@ def backward(root: Tensor) -> None:
         if g is None:
             continue
         if node._backward is None:
-            if node.grad is None:
-                node.grad = np.array(g, dtype=node.data.dtype)
+            if node in grads:
+                grads[node] += g
             else:
-                node.grad += g
+                grads[node] = np.array(g, dtype=node.data.dtype)
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if parent is None or pg is None:
@@ -721,6 +715,7 @@ def backward(root: Tensor) -> None:
                 flowing[key] = flowing[key] + pg
             else:
                 flowing[key] = pg
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +746,9 @@ class ParamSet:
     same seed reproduces every value bit for bit at a fixed precision.
     Given ``values`` (name -> array, such as a checkpoint's), :meth:`add`
     pops each parameter's value from that dict and draws nothing; what
-    is left in it afterwards belongs to no parameter.
+    is left in it afterwards belongs to no parameter. It holds values
+    only: the parameters' gradients are in the dict :func:`backward`
+    returns, keyed by the tensors of :meth:`items`.
     """
 
     def __init__(self, seed: int, dtype=np.float32, values: dict[str, np.ndarray] | None = None):
@@ -793,15 +790,8 @@ class ParamSet:
     def items(self):
         return self._params.items()
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
 
     def copy_arrays(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
@@ -851,7 +841,8 @@ def grad_check(
     """Compare analytic gradients of ``f(params)`` against central finite
     differences at ``n_probes`` randomly chosen parameter coordinates.
 
-    ``f`` must be a pure scalar function of the parameter values. The
+    ``f`` must be a pure scalar function of the parameter values; the
+    analytic gradients are what one :func:`backward` of it returns. The
     relative error denominator is floored at 1e-5 so that coordinates
     where both gradients vanish do not dominate the report. A NaN
     relative error (a NaN or infinite gradient on either side) counts as
@@ -871,12 +862,11 @@ def grad_check(
     rng = np.random.default_rng(seed)
     flat_picks = rng.integers(0, cum[-1], size=n_probes)
 
-    params.zero_grads()
     out = f(params)
     if out.size != 1:
         raise ContractError("grad_check target must be scalar")
-    backward(out)
-    analytic = {n: params[n].grad for n in names}  # None: the output does not depend on it
+    grads = backward(out)
+    analytic = {n: grads.get(params[n]) for n in names}  # None: the output does not depend on it
 
     probes: list[ProbeResult] = []
     for flat in flat_picks:

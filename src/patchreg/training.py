@@ -125,10 +125,11 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction (:data:`ADAM_BETAS`, :data:`ADAM_EPS`);
-    gradients must be zeroed by the caller between steps.
+    """Adam with bias correction (:data:`ADAM_BETAS`, :data:`ADAM_EPS`).
 
-    :meth:`step` updates each parameter and its moments ``m`` and ``v`` in
+    :meth:`step` takes the gradients that :func:`gradcore.backward`
+    returns; a parameter with no entry keeps its value and its moments.
+    It updates each other parameter and its moments ``m`` and ``v`` in
     place, over flat blocks of ``gradcore._ROW_BLOCK`` values with two
     block-sized scratch buffers. Per block it runs the ufuncs of
     ``m = b1·m + (1-b1)·g``, ``v = b2·v + ((1-b2)·g)·g`` and
@@ -140,23 +141,22 @@ class Adam:
         self.params = params
         self.lr = lr
         self.t = 0
-        for t in params.tensors():
-            if t.grad is None:  # step() may run before any backward reaches it
-                t.grad = np.zeros_like(t.data)
         # flat, as step() walks them; each parameter is C-contiguous (ParamSet)
         self.m = {n: np.zeros(t.size, t.dtype) for n, t in params.items()}
         self.v = {n: np.zeros(t.size, t.dtype) for n, t in params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         block = gradcore._ROW_BLOCK
         for name, p in self.params.items():
+            if p not in grads:
+                continue
             if not p.data.flags.c_contiguous:  # its flat form would be a copy
                 raise ContractError(f"Adam: parameter {name} is not C-contiguous")
-            data, g = p.data.reshape(-1), p.grad.reshape(-1)
+            data, g = p.data.reshape(-1), grads[p].reshape(-1)
             m, v = self.m[name], self.v[name]
             scratch = np.empty((2, min(data.size, block)), data.dtype)
             for i in range(0, data.size, block):
@@ -290,10 +290,11 @@ def train(
     validation loss.
 
     Each pair's loss, scaled by 1/batch, is backpropagated on its own
-    and its graph freed before the next pair's forward, so the parameter
-    grads sum to the gradient of the batch mean while at most one pair's
-    graph is alive: memory does not grow with the batch size. The logged
-    batch loss is the mean of the pair losses.
+    into one gradient dict per batch, which so sums to the gradient of the
+    batch mean for :meth:`Adam.step`, and its graph is freed before the
+    next pair's forward: at most one pair's graph is alive, so memory
+    does not grow with the batch size. The logged batch loss is the mean
+    of the pair losses.
 
     Training and validation run in the model dtype. The model ends with
     the last epoch's parameters and no copy of them is kept. With an
@@ -301,12 +302,15 @@ def train(
     ``best_checkpoint.prck`` each time the validation loss improves and
     ``checkpoint.prck`` (the last epoch) when training ends, each replaced
     whole: a run that diverges keeps its log and its best checkpoint.
+    Before epoch 1 those three files of an earlier run are removed.
     """
     cfg.validate()
     if not train_pairs or not val_pairs:
         raise ConfigError("training and validation splits must be non-empty")
     if out_dir is not None:
         out_dir = Path(out_dir)
+        for name in ("log.csv", "best_checkpoint.prck", "checkpoint.prck"):
+            (out_dir / name).unlink(missing_ok=True)
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, lr=cfg.lr)
     log: list[EpochLog] = []
@@ -322,7 +326,7 @@ def train(
         epoch_losses: list[float] = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_pairs[i] for i in order[start : start + cfg.batch_size]]
-            model.params.zero_grads()
+            grads = {}
             pair_losses: list[float] = []
             for pair in batch:
                 fix, mov = pair.fix, pair.mov
@@ -332,10 +336,10 @@ def train(
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDiverged(epoch, getattr(pair, "pair_id", "?"), value)
-                backward(cmul(loss, 1.0 / len(batch)))
+                backward(cmul(loss, 1.0 / len(batch)), grads)
                 del loss  # free this pair's graph before the next forward
                 pair_losses.append(value)
-            optimizer.step()
+            optimizer.step(grads)
             steps += 1
             epoch_losses.append(float(np.mean(pair_losses)))
         val_loss = evaluate_loss(model, val_pairs, cfg)

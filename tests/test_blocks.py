@@ -476,8 +476,8 @@ def test_swin_block_bit_exact_to_head_layout_oracle(dtype, grid, window, heads, 
         fix = rand_tokens(62, grid, grid, dim, dtype)
         mov = rand_tokens(63, grid, grid, dim, dtype)
         out = forward(block, fix, mov)
-        gc.backward(gc.sum_all(gc.mul(out, readout)))
-        grads = [fix.grad, mov.grad] + [t.grad for _, t in ps.items()]
+        by_leaf = gc.backward(gc.sum_all(gc.mul(out, readout)))
+        grads = [by_leaf[fix], by_leaf[mov]] + [by_leaf[t] for _, t in ps.items()]
         results.append([out.data] + grads)
     assert (block.shifted is block.normal) == (window == grid)
     names = ["out", "fix", "mov"] + ps.names()
@@ -548,7 +548,7 @@ def patch_embed_param_count(patch: int, dim: int) -> int:
 
 
 def n_values(pset: ParamSet) -> int:
-    return sum(t.size for t in pset.tensors())
+    return sum(t.size for _, t in pset.items())
 
 
 def test_param_count_formulas():

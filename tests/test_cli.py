@@ -141,17 +141,22 @@ def test_resolved_config_reads_back_unchanged(tmp_path, synth_dir):
     assert (second / "resolved_config.json").read_text() == resolved.read_text()
 
 
+def nan_loss_at_epoch(monkeypatch, epoch):
+    """Make the training pair's loss NaN at ``epoch``: with one training and
+    one validation pair per epoch, that is ``_pair_loss`` call 2·epoch − 1."""
+    pair_loss, calls = training._pair_loss, itertools.count(1)
+
+    def nan_at_epoch(model, fix, mov, cfg):
+        loss = pair_loss(model, fix, mov, cfg)
+        return cmul(loss, math.nan) if next(calls) == 2 * epoch - 1 else loss
+
+    monkeypatch.setattr(training, "_pair_loss", nan_at_epoch)
+
+
 def test_diverged_train_keeps_the_log_of_finished_epochs(tmp_path, synth_dir, monkeypatch):
     """A loss that turns non-finite at epoch 3 ends in exit 1; the run
     leaves the log of epochs 1 and 2 and its best checkpoint."""
-    pair_loss, calls = training._pair_loss, itertools.count(1)
-
-    def nan_at_epoch_3(model, fix, mov, cfg):
-        loss = pair_loss(model, fix, mov, cfg)
-        # one training and one validation pair per epoch: call 5 is epoch 3's training pair
-        return cmul(loss, math.nan) if next(calls) == 5 else loss
-
-    monkeypatch.setattr(training, "_pair_loss", nan_at_epoch_3)
+    nan_loss_at_epoch(monkeypatch, 3)
     out = tmp_path / "run"
     rc, err = run_cli(["train", "--config", str(write_train_config(tmp_path, synth_dir, epochs=4)),
                        "--out", str(out)])
@@ -160,6 +165,21 @@ def test_diverged_train_keeps_the_log_of_finished_epochs(tmp_path, synth_dir, mo
     assert [row["epoch"] for row in read_log(out / "log.csv")] == ["1", "2"]
     load_checkpoint(out / "best_checkpoint.prck")
     assert not (out / "checkpoint.prck").exists()
+
+
+def test_rerun_into_the_same_directory_leaves_no_file_of_the_earlier_run(tmp_path, synth_dir, monkeypatch):
+    """A run that diverges at epoch 1 in the directory of a finished run
+    ends in exit 1 and leaves none of the earlier run's log and checkpoints."""
+    argv = ["train", "--config", str(write_train_config(tmp_path, synth_dir, epochs=2)),
+            "--out", str(tmp_path / "run")]
+    assert run_cli(argv)[0] == 0
+    names = ("log.csv", "best_checkpoint.prck", "checkpoint.prck")
+    assert all((tmp_path / "run" / n).exists() for n in names)
+    nan_loss_at_epoch(monkeypatch, 1)
+    rc, err = run_cli(argv)
+    assert_one_line_error(rc, err, 1)
+    assert "non-finite loss at epoch 1" in err
+    assert [n for n in names if (tmp_path / "run" / n).exists()] == []
 
 
 def test_train_missing_manifest_exit_2(tmp_path, capsys):

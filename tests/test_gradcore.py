@@ -31,8 +31,8 @@ def fd_check(build, arrays, n_probes=30, step=1e-5, seed=0):
     """
     tensors = [Tensor(a.astype(np.float64)) for a in arrays]
     out = build(tensors)
-    backward(out)
-    analytic = [t.grad.copy() for t in tensors]
+    grads = backward(out)
+    analytic = [grads[t] for t in tensors]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
@@ -251,8 +251,8 @@ def test_window_attention_matches_composite_chain():
     ):
         ts = [Tensor(a.copy()) for a in arrays]
         out = op(*ts)
-        backward(scalar_readout(out, seed=9))
-        results.append([out.data] + [t.grad for t in ts])
+        grads = backward(scalar_readout(out, seed=9))
+        results.append([out.data] + [grads[t] for t in ts])
     for name, fused, oracle in zip(("out", "q", "k", "v", "bias"), *results):
         np.testing.assert_allclose(fused, oracle, rtol=1e-12, err_msg=name)
 
@@ -302,8 +302,8 @@ def test_window_attention_is_bit_identical_to_the_strided_bias_add(dtype, masked
         ts = [Tensor(a.astype(dtype)) for a in arrays]
         out = op(*ts, mask, 1.0 / np.sqrt(8.0))
         r = np.random.default_rng(13).normal(size=out.shape).astype(dtype)
-        backward(gc.sum_all(gc.mul(out, Tensor(r))))
-        results.append([out.data] + [t.grad for t in ts])
+        grads = backward(gc.sum_all(gc.mul(out, Tensor(r))))
+        results.append([out.data] + [grads[t] for t in ts])
     for name, got, want in zip(("out", "q", "k", "v", "bias"), *results):
         assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
 
@@ -333,8 +333,8 @@ def test_gather_rows_permutation_finite_difference():
         x = np.random.default_rng(4).normal(size=shape)
         t = Tensor(x)
         out = gc.gather_rows(t, idx)
-        backward(scalar_readout(out))
-        assert out.shape == idx.shape + (3,) and t.grad.shape == shape
+        grads = backward(scalar_readout(out))
+        assert out.shape == idx.shape + (3,) and grads[t].shape == shape
         err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], idx)), [x])
         assert err < 1e-7
     with pytest.raises(DimensionError, match="2 or more axes"):
@@ -347,8 +347,8 @@ def test_gather_rows_duplicated_index_finite_difference():
         x = np.random.default_rng(5).normal(size=shape)
         t = Tensor(x)
         out = gc.gather_rows(t, idx)
-        backward(scalar_readout(out))
-        assert out.shape == (2, 3, 2) and t.grad.shape == shape
+        grads = backward(scalar_readout(out))
+        assert out.shape == (2, 3, 2) and grads[t].shape == shape
         err = fd_check(lambda ts: scalar_readout(gc.gather_rows(ts[0], idx)), [x])
         assert err < 1e-7
 
@@ -359,21 +359,21 @@ def test_gather_rows_duplicated_index_finite_difference():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.random.default_rng(7).normal(size=(3, 4)))
-    backward(gc.sum_all(x))
-    assert np.array_equal(x.grad, np.ones((3, 4)))
+    grads = backward(gc.sum_all(x))
+    assert np.array_equal(grads[x], np.ones((3, 4)))
 
 
 def test_backward_hand_quadratic():
     x = Tensor([1.0, 2.0])
-    backward(gc.sum_all(gc.mul(x, x)))
-    assert x.grad.tolist() == [2.0, 4.0]
+    grads = backward(gc.sum_all(gc.mul(x, x)))
+    assert grads[x].tolist() == [2.0, 4.0]
 
 
 def test_backward_fanout_sums_both_paths():
     x = Tensor(np.random.default_rng(8).normal(size=5))
     loss = gc.add(gc.sum_all(x), gc.sum_all(gc.cmul(x, 2.0)))
-    backward(loss)
-    assert np.allclose(x.grad, 3.0)
+    grads = backward(loss)
+    assert np.allclose(grads[x], 3.0)
 
 
 def test_backward_requires_scalar_root():
@@ -385,9 +385,18 @@ def test_backward_requires_scalar_root():
 def test_backward_accumulates_on_repeat():
     x = Tensor([1.0, 2.0])
     loss = gc.sum_all(gc.mul(x, x))
-    backward(loss)
-    backward(loss)
-    assert x.grad.tolist() == [4.0, 8.0]
+    grads = backward(loss)
+    assert backward(loss, grads) is grads
+    assert grads[x].tolist() == [4.0, 8.0]
+
+
+def test_backward_returns_a_new_dict_that_does_not_see_earlier_calls():
+    x = Tensor([1.0, 2.0])
+    loss = gc.sum_all(gc.mul(x, x))
+    first = backward(loss)
+    second = backward(loss)
+    assert second is not first and second[x] is not first[x]
+    assert first[x].tolist() == second[x].tolist() == [2.0, 4.0]
 
 
 def test_backward_keeps_grad_on_leaves_only():
@@ -397,21 +406,81 @@ def test_backward_keeps_grad_on_leaves_only():
     nodes.append(gelu(nodes[-1]))
     nodes.append(softmax(nodes[-1]))
     nodes.append(gc.sum_all(gc.mul(nodes[-1], nodes[0])))
-    assert x.grad is None and w.grad is None
-    backward(nodes[-1])
-    assert all(n.grad is None for n in nodes)
-    assert x.grad.shape == x.shape and x.grad.dtype == x.dtype
-    assert w.grad.shape == w.shape and w.grad.dtype == w.dtype
+    grads = backward(nodes[-1])
+    assert set(grads) == {x, w}  # no node of the graph is a key
+    assert grads[x].shape == x.shape and grads[x].dtype == x.dtype
+    assert grads[w].shape == w.shape and grads[w].dtype == w.dtype
 
 
-def test_leaf_grad_is_created_in_leaf_dtype_and_zeroable():
+def test_tensor_has_no_gradient_slot():
+    assert "grad" not in Tensor.__slots__ and not hasattr(Tensor(np.ones(2)), "grad")
+
+
+def test_leaf_grad_is_a_writable_array_in_leaf_dtype():
     x = Tensor(np.ones(3, dtype=np.float32))
-    x.zero_grad()
-    assert x.grad is None
-    backward(gc.sum_all(x))  # the incoming gradient is a read-only broadcast view
-    assert x.grad.dtype == np.float32 and x.grad.tolist() == [1.0, 1.0, 1.0]
-    x.zero_grad()
-    assert x.grad.tolist() == [0.0, 0.0, 0.0]
+    grads = backward(gc.sum_all(x))  # the incoming gradient is a read-only broadcast view
+    assert grads[x].dtype == np.float32 and grads[x].tolist() == [1.0, 1.0, 1.0]
+    assert grads[x].flags.writeable and grads[x].flags.owndata  # later calls add into it
+
+
+def _grad_attr_sum(leaves, roots, zeroed=False):
+    """Oracle for adding several backward calls into one dict: each leaf's
+    ``grad`` is created as a copy by the first gradient that reaches it and
+    added to by every later one, as leaves kept gradients before
+    ``backward`` returned them; ``zeroed`` starts every leaf at a zeroed
+    ``grad``, as training's optimizer did. Same traversal and parent sums
+    as ``backward``."""
+    held = {id(t): np.zeros_like(t.data) for t in leaves} if zeroed else {}
+    for root in roots:
+        order = gc._toposort(root)
+        flowing = {id(root): np.ones_like(root.data)}
+        for node in reversed(order):
+            g = flowing.pop(id(node), None)
+            if g is None:
+                continue
+            if node._backward is None:
+                if id(node) not in held:
+                    held[id(node)] = np.array(g, dtype=node.data.dtype)
+                else:
+                    held[id(node)] += g
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if parent is None or pg is None:
+                    continue
+                key = id(parent)
+                flowing[key] = flowing[key] + pg if key in flowing else pg
+    return [held[id(t)] for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_calls_into_one_dict_are_bit_identical_to_the_grad_attribute_sum(dtype):
+    arrays = mlp_operands(40, n=12, d=8, hidden=24, dtype=dtype)
+    ts = [Tensor(a) for a in arrays]
+    rng = np.random.default_rng(41)
+
+    def root(seed):
+        out = gc.mlp_branch(*ts)
+        r = np.random.default_rng(seed).normal(size=out.shape).astype(dtype)
+        return gc.cmul(gc.sum_all(gc.mul(gelu(out), Tensor(r))), 0.5)
+
+    roots = [root(int(rng.integers(1 << 30))) for _ in range(2)]
+    want = _grad_attr_sum(ts, roots)
+    from_zero = _grad_attr_sum(ts, roots, zeroed=True)
+    grads = {}
+    for r in roots:
+        backward(r, grads)
+    for name, t, w, z in zip(_MLP_NAMES, ts, want, from_zero):
+        assert grads[t].dtype == dtype and grads[t].tobytes() == w.tobytes(), name
+        assert np.array_equal(grads[t], z), name  # 0 + g may only turn -0.0 into +0.0
+
+
+def test_constant_root_returns_the_given_dict_or_an_empty_one():
+    with gc.no_grad():
+        root = gc.sum_all(Tensor(np.ones(3)))
+    assert backward(root) == {}
+    x = Tensor(np.ones(2))
+    grads = {x: np.full(2, 5.0)}
+    assert backward(root, grads) is grads and grads[x].tolist() == [5.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +502,14 @@ def test_numpy_operand_leaves_other_gradients_bit_identical(name):
     arrays = [rng.normal(size=s) for s in shapes]
     for const in range(len(arrays)):
         full = [Tensor(a.copy()) for a in arrays]
-        backward(scalar_readout(op(*full)))
+        full_grads = backward(scalar_readout(op(*full)))
         mixed = [a.copy() if i == const else Tensor(a.copy()) for i, a in enumerate(arrays)]
         out = op(*mixed)
         assert out.requires_grad and out._parents[const] is None
-        backward(scalar_readout(out))
+        mixed_grads = backward(scalar_readout(out))
         for i, (f, m) in enumerate(zip(full, mixed)):
             if i != const:
-                assert np.array_equal(m.grad, f.grad), (name, const, i)
+                assert np.array_equal(mixed_grads[m], full_grads[f]), (name, const, i)
 
 
 def test_op_on_numpy_operands_only_is_a_constant():
@@ -449,11 +518,10 @@ def test_op_on_numpy_operands_only_is_a_constant():
     assert not c.requires_grad and c._backward is None and c._parents == ()
     root = gc.sum_all(gelu(c))
     assert not root.requires_grad and root._backward is None
-    backward(root)
-    assert root.grad is None and c.grad is None
+    assert backward(root) == {}
     p = Tensor(rng.normal(size=(3, 2)))
-    backward(gc.sum_all(gc.mul(p, c)))
-    assert c.grad is None and np.array_equal(p.grad, c.data)
+    grads = backward(gc.sum_all(gc.mul(p, c)))
+    assert c not in grads and np.array_equal(grads[p], c.data)
 
 
 def test_deep_chain_does_not_recurse():
@@ -461,8 +529,8 @@ def test_deep_chain_does_not_recurse():
     y = x
     for _ in range(5000):
         y = gc.cmul(y, 1.0)
-    backward(gc.sum_all(y))
-    assert x.grad.tolist() == [1.0]
+    grads = backward(gc.sum_all(y))
+    assert grads[x].tolist() == [1.0]
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -471,16 +539,16 @@ def test_mul_gradient_is_other_operand(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=4))
     b = Tensor(rng.normal(size=4))
-    backward(gc.sum_all(gc.mul(a, b)))
-    assert np.allclose(a.grad, b.data)
-    assert np.allclose(b.grad, a.data)
+    grads = backward(gc.sum_all(gc.mul(a, b)))
+    assert np.allclose(grads[a], b.data)
+    assert np.allclose(grads[b], a.data)
 
 
 def test_broadcast_add_sums_gradient():
     a = Tensor(np.zeros((3, 4)))
     b = Tensor(np.zeros(4))
-    backward(gc.sum_all(gc.add(a, b)))
-    assert np.allclose(b.grad, 3.0)
+    grads = backward(gc.sum_all(gc.add(a, b)))
+    assert np.allclose(grads[b], 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +580,8 @@ def test_forward_backward_bit_identical_rerun():
         x = Tensor(rng.normal(size=(6, 6)))
         w = Tensor(rng.normal(size=(6, 6)))
         out = gc.sum_all(gelu(matmul(x, w)))
-        backward(out)
-        return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
+        grads = backward(out)
+        return out.data.tobytes(), grads[x].tobytes(), grads[w].tobytes()
 
     assert run() == run()
 
@@ -600,7 +668,7 @@ def test_grad_check_reads_an_unreached_parameter_as_zero_gradient():
     ps.add("p", (10,))
     unused = ps.add("unused", (10,))
     report = grad_check(_quadratic, ps, n_probes=20, step=1e-5, seed=0)
-    assert unused.grad is None
+    assert unused not in backward(_quadratic(ps))
     assert any(p.name == "unused" and p.analytic == 0.0 for p in report.probes)
     assert report.max_rel_err < 1e-8
 
@@ -693,8 +761,7 @@ def test_ops_under_no_grad_return_constants_and_backward_is_a_no_op():
         h, root = forward()
     for t in (h, root):
         assert not t.requires_grad and t._backward is None and t._parents == ()
-    backward(root)
-    assert root.grad is None and all(t.grad is None for t in (x, w, b))
+    assert backward(root) == {}
     recorded_h, recorded_root = forward()
     assert recorded_root.requires_grad
     assert np.array_equal(h.data, recorded_h.data) and np.array_equal(root.data, recorded_root.data)
@@ -774,8 +841,8 @@ def run_mlp(op, arrays, transposed):
     x = gc.transpose(ts[0]) if transposed else ts[0]
     out = op(x, *ts[1:])
     r = np.random.default_rng(21).normal(size=out.shape).astype(out.dtype)
-    backward(gc.sum_all(gc.mul(out, Tensor(r))))
-    return out.data, [t.grad for t in ts]
+    grads = backward(gc.sum_all(gc.mul(out, Tensor(r))))
+    return out.data, [grads[t] for t in ts]
 
 
 def test_mlp_branch_finite_difference_all_seven_operands():

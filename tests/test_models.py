@@ -262,10 +262,10 @@ def test_multiscale_gradients_reach_every_child(pair32):
     loss = training.symmetric_loss(
         pair32.fix, pair32.mov, model.register(pair32.fix, pair32.mov), lam=0.01
     )
-    gradcore.backward(loss)
+    grads = gradcore.backward(loss)
     for child in ("child0", "child1"):
         total = sum(
-            float(np.abs(model.params[n].grad).sum())
+            float(np.abs(grads[model.params[n]]).sum())
             for n in model.params.names()
             if n.startswith(child)
         )
@@ -351,7 +351,7 @@ def test_checkpoint_load_takes_saved_values_and_draws_no_init(tmp_path, monkeypa
     for n, t in model.params.items():
         got = loaded.params[n]
         assert got.data.dtype == t.data.dtype and got.data.tobytes() == t.data.tobytes(), n
-        assert got.data.flags.writeable and not np.any(got.grad), n
+        assert got.data.flags.writeable and not hasattr(got, "grad"), n
 
 
 def rewrite_checkpoint(path, edit):
