@@ -14,6 +14,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from patchreg.svf import (
+    SQUARING_STEPS,
     VELOCITY,
     VectorField,
     compose_displacements,
@@ -30,7 +31,7 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=32)
     parser.add_argument("--max-velocity", type=float, default=2.0)
     parser.add_argument("--sigma", type=float, default=None, help="smoothing scale (default size/8)")
-    parser.add_argument("--steps", type=int, default=7)
+    parser.add_argument("--steps", type=int, default=SQUARING_STEPS, help="squaring steps (default: the model's)")
     args = parser.parse_args()
 
     conv, inv, neg = [], [], 0

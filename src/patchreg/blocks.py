@@ -10,6 +10,8 @@ order. Each block is built for its grid and checks the token count
 kinds end in the same sub-layer, the pre-norm MLP branch :class:`Mlp`
 ``fc2(gelu(fc1(norm(x))))``, which is one fused op,
 :func:`~patchreg.gradcore.mlp_branch`; each block adds its own residual.
+Its hidden width is :data:`HIDDEN_RATIO` times the token width in every
+block (the token-mixing MLP of :class:`MixerBlock` has its own width).
 Window geometry (:class:`WindowPartition`) is fixed by the grid, so a
 cross-attention block builds it once.
 """
@@ -35,6 +37,9 @@ from .gradcore import (
 )
 
 
+HIDDEN_RATIO = 4  # MLP hidden width / token width, as in ViT and MLP-Mixer
+
+
 def _tile(a: np.ndarray, tile: int) -> np.ndarray:
     """[h, w] -> [n_tiles, tile*tile]: tile x tile blocks in row-major block order."""
     h, w = a.shape
@@ -47,7 +52,6 @@ class PatchEmbed:
 
     def __init__(self, pset: ParamSet, prefix: str, patch: int, dim: int):
         self.patch = patch
-        self.dim = dim
         self.w = pset.add(f"{prefix}.w", (patch * patch, dim))
         self.b = pset.add(f"{prefix}.b", (dim,), init="zeros")
 
@@ -89,8 +93,8 @@ def _token_hidden(n_tokens: int) -> int:
 class MlpBlock:
     """Residual per-token MLP: x + mlp(x). Tokens never mix."""
 
-    def __init__(self, pset: ParamSet, prefix: str, dim: int, hidden_ratio: int = 4):
-        self.mlp = Mlp(pset, prefix, dim, hidden_ratio * dim)
+    def __init__(self, pset: ParamSet, prefix: str, dim: int):
+        self.mlp = Mlp(pset, prefix, dim, HIDDEN_RATIO * dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(x, self.mlp(x))
@@ -104,10 +108,10 @@ class MixerBlock:
     Channel mixing ``ch`` matches :class:`MlpBlock`.
     """
 
-    def __init__(self, pset: ParamSet, prefix: str, dim: int, n_tokens: int, hidden_ratio: int = 4):
+    def __init__(self, pset: ParamSet, prefix: str, dim: int, n_tokens: int):
         self.n_tokens = n_tokens
         self.tok = Mlp(pset, f"{prefix}.tok", n_tokens, _token_hidden(n_tokens))
-        self.ch = Mlp(pset, f"{prefix}.ch", dim, hidden_ratio * dim)
+        self.ch = Mlp(pset, f"{prefix}.ch", dim, HIDDEN_RATIO * dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[0] != self.n_tokens:
@@ -191,16 +195,7 @@ class SwinCrossBlock:
     unless both inputs are [grid * grid, dim].
     """
 
-    def __init__(
-        self,
-        pset: ParamSet,
-        prefix: str,
-        dim: int,
-        grid: int,
-        window: int,
-        heads: int,
-        hidden_ratio: int = 4,
-    ):
+    def __init__(self, pset: ParamSet, prefix: str, dim: int, grid: int, window: int, heads: int):
         if dim % heads:
             raise DimensionError(f"dim {dim} not divisible by {heads} heads")
         self.normal = WindowPartition(grid, window, False)
@@ -228,7 +223,7 @@ class SwinCrossBlock:
             f"{prefix}.relpos", ((2 * window - 1) ** 2, heads), init="zeros"
         )
         self._rel_index = relative_position_index(window)
-        self.mlp = Mlp(pset, f"{prefix}.mlp", dim, hidden_ratio * dim)
+        self.mlp = Mlp(pset, f"{prefix}.mlp", dim, HIDDEN_RATIO * dim)
 
     def _bias(self) -> Tensor:
         return gather_rows(self.bias_table, self._rel_index)

@@ -20,7 +20,7 @@ import numpy as np
 from . import dataio, models, svf, training
 from .files import write_file
 from .gradcore import DimensionError, grad_check, no_grad, set_grad_fault
-from .metrics import jacobian_stats, evaluate_pairs
+from .metrics import JacobianStats, evaluate_pairs
 from .models import CheckpointError, ConfigError, init_model, load_checkpoint, preset
 from .svf import compose_displacements, mean_interior_magnitude
 from .training import TrainConfig, TrainingDiverged
@@ -116,9 +116,7 @@ def cmd_register(args) -> int:
     residual = mean_interior_magnitude(
         compose_displacements(result.disp_inverse, result.disp_forward), margin=margin
     )
-    stats = jacobian_stats(
-        result.disp_forward, np.ones((size, size), dtype=np.int64), 1
-    )
+    stats = JacobianStats.of(svf.jacobian_determinant(result.disp_forward).ravel())
     summary = {
         "inverse_consistency_residual_px": residual,
         "jacobian": asdict(stats),

@@ -722,6 +722,9 @@ def backward(root: Tensor, grads: dict[Tensor, np.ndarray] | None = None) -> dic
 # parameters
 
 
+_INIT_STD = 0.02  # scale of the truncated-normal weight init
+
+
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal(0, std) resampled until everything lies within 2 std.
 
@@ -760,7 +763,7 @@ class ParamSet:
         self._rng = np.random.default_rng(self.seed)
         self._values = values
 
-    def add(self, name: str, shape, init: str = "trunc_normal", std: float = 0.02) -> Tensor:
+    def add(self, name: str, shape, init: str = "trunc_normal") -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name: {name}")
         shape = tuple(int(s) for s in shape)
@@ -775,7 +778,7 @@ class ParamSet:
                     f"parameter {name}: stored shape {arr.shape} != model shape {shape}"
                 )
         elif init == "trunc_normal":
-            arr = _trunc_normal(self._rng, shape, std)
+            arr = _trunc_normal(self._rng, shape, _INIT_STD)
         elif init == "zeros":
             arr = np.zeros(shape)
         else:

@@ -10,6 +10,10 @@ layer starts at zero so an untrained model is the identity transform.
 Child velocities are resampled to the finest grid and combined by fixed
 weights; the fused velocity is exponentiated forward and backward and
 upsampled to image resolution.
+
+Two values are the same for every family and are constants, not config
+fields: the MLP expansion ratio :data:`~patchreg.blocks.HIDDEN_RATIO`
+and the squaring step count :data:`~patchreg.svf.SQUARING_STEPS`.
 """
 
 from __future__ import annotations
@@ -127,8 +131,6 @@ class ModelConfig:
     depth_extract: int = 4
     depth_cross: int = 4
     image_size: int = 128
-    integration_steps: int = 7
-    hidden_ratio: int = 4
     seed: int = 0
 
     @classmethod
@@ -143,15 +145,13 @@ class ModelConfig:
             raise ConfigError(f"unknown family '{self.family}' (expected one of {FAMILIES})")
         if not self.scales:
             raise ConfigError("a model needs at least one scale")
-        if min(self.dim, self.depth_cross, self.image_size, self.hidden_ratio, self.integration_steps) < 1:
-            raise ConfigError(
-                "dim, depth_cross, image_size, hidden_ratio and integration_steps must be >= 1"
-            )
+        if min(self.dim, self.depth_cross, self.image_size) < 1:
+            raise ConfigError("dim, depth_cross and image_size must be >= 1")
         if self.depth_extract < 0:
             raise ConfigError("depth_extract must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"model.seed must be a non-negative integer, got {self.seed}")
-        for s in self.scales:
+        for i, s in enumerate(self.scales):
             if s.patch < 1:
                 raise ConfigError(f"patch {s.patch} must be >= 1")
             if self.image_size % s.patch:
@@ -167,6 +167,9 @@ class ModelConfig:
                     )
                 if self.dim % s.heads:
                     raise ConfigError(f"dim {self.dim} not divisible by {s.heads} heads")
+            elif (s.window, s.heads) != (None, None):
+                key = "heads" if s.window is None else "window"
+                raise ConfigError(f"model.scales[{i}].{key} is read by swin_trans only, not {self.family}")
             if not (math.isfinite(s.weight) and s.weight >= 0):
                 raise ConfigError(f"scale weights must be finite and non-negative, got {s.weight!r}")
 
@@ -196,30 +199,21 @@ class ChildModel:
         scale: ScaleConfig,
         head_init: str,
     ):
-        self.patch = scale.patch
         self.grid = cfg.image_size // scale.patch
         self.embed = PatchEmbed(pset, f"{prefix}.embed", scale.patch, cfg.dim)
         n_tokens = self.grid * self.grid
 
         def block(name: str):
             if cfg.family == "mlp_mixer":
-                return MixerBlock(pset, name, cfg.dim, n_tokens, cfg.hidden_ratio)
-            return MlpBlock(pset, name, cfg.dim, cfg.hidden_ratio)
+                return MixerBlock(pset, name, cfg.dim, n_tokens)
+            return MlpBlock(pset, name, cfg.dim)
 
         self.extract = [block(f"{prefix}.extract{i}") for i in range(cfg.depth_extract)]
 
         self.family = cfg.family
         if cfg.family == "swin_trans":
             self.cross = [
-                SwinCrossBlock(
-                    pset,
-                    f"{prefix}.cross{i}",
-                    cfg.dim,
-                    self.grid,
-                    scale.window,
-                    scale.heads,
-                    cfg.hidden_ratio,
-                )
+                SwinCrossBlock(pset, f"{prefix}.cross{i}", cfg.dim, self.grid, scale.window, scale.heads)
                 for i in range(cfg.depth_cross)
             ]
         else:
@@ -323,7 +317,7 @@ class RegistrationModel:
     def displacement(self, v: VectorField) -> VectorField:
         """exp(v) by scaling and squaring, resampled to image resolution."""
         s = self.config.image_size
-        return resample_field(integrate_svf(v, self.config.integration_steps), s, s)
+        return resample_field(integrate_svf(v), s, s)
 
     def register(self, fix, mov) -> RegistrationResult:
         """Full pipeline: fused velocity, forward and inverse displacement

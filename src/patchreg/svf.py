@@ -253,7 +253,10 @@ def compose_displacements(outer: VectorField, inner: VectorField) -> VectorField
     return VectorField(add(inner.data, sampled), DISPLACEMENT)
 
 
-def integrate_svf(v: VectorField, steps: int = 7) -> VectorField:
+SQUARING_STEPS = 7  # the registration model's step count, as in VoxelMorph's integrator
+
+
+def integrate_svf(v: VectorField, steps: int = SQUARING_STEPS) -> VectorField:
     """Exponentiate a stationary velocity field by scaling and squaring.
 
     The velocity is divided by 2**steps and the resulting small

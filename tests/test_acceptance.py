@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchreg import dataio, metrics, models, training
+from patchreg import blocks, dataio, metrics, models, svf, training
 from patchreg.cli import main
 from patchreg.dataio import ImagePair
 from patchreg.metrics import dice, endpoint_error, surface_distances, warp_mask
@@ -369,6 +369,8 @@ def test_criterion_9_config_fidelity():
         "model_presets": {name: models.config_to_dict(preset(name)) for name in models.PRESET_NAMES},
         "train_defaults": models.config_to_dict(TrainConfig()),
         "augmentation": AUGMENTATION,
+        # the model constants that are no config field
+        "model_constants": {"HIDDEN_RATIO": blocks.HIDDEN_RATIO, "SQUARING_STEPS": svf.SQUARING_STEPS},
     }
     golden = json.loads(GOLDEN.read_text())
     assert json.loads(json.dumps(snapshot)) == golden  # tuples read back as lists

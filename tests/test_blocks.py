@@ -529,18 +529,18 @@ def mlp_param_count(dim: int, hidden: int) -> int:
     return 2 * dim + (dim * hidden + hidden) + (hidden * dim + dim)
 
 
-def mlp_block_param_count(dim: int, hidden_ratio: int = 4) -> int:
-    return mlp_param_count(dim, hidden_ratio * dim)
+def mlp_block_param_count(dim: int) -> int:
+    return mlp_param_count(dim, 4 * dim)  # hidden ratio 4
 
 
-def mixer_block_param_count(dim: int, n_tokens: int, hidden_ratio: int = 4) -> int:
+def mixer_block_param_count(dim: int, n_tokens: int) -> int:
     token = mlp_param_count(n_tokens, _token_hidden(n_tokens))
-    return token + mlp_block_param_count(dim, hidden_ratio)
+    return token + mlp_block_param_count(dim)
 
 
-def swin_block_param_count(dim: int, window: int, heads: int, hidden_ratio: int = 4) -> int:
+def swin_block_param_count(dim: int, window: int, heads: int) -> int:
     attn = 4 * dim + 4 * (dim * dim + dim) + (2 * window - 1) ** 2 * heads
-    return attn + mlp_block_param_count(dim, hidden_ratio)
+    return attn + mlp_block_param_count(dim)
 
 
 def patch_embed_param_count(patch: int, dim: int) -> int:

@@ -239,7 +239,7 @@ def _weighted(weight):
         {"model": {"preset": "pure_mlp_desk"}, "train": {"lam": math.inf}, "data": _SYNTH_DATA},
         {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": {**_SYNTH_DATA, "bogus": 1}},
         {"model": {"preset": "pure_mlp_desk"}, "train": _ONE_EPOCH, "data": _SYNTH_DATA, "bogus": 1},
-        {"model": {"preset": "pure_mlp_desk", "integration_steps": 0}, "train": _ONE_EPOCH, "data": _SYNTH_DATA},
+        {"model": {"preset": "pure_mlp_desk", "depth_cross": 0}, "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": _weighted(math.nan), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": _weighted(math.inf), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
         {"model": {"preset": "pure_mlp_desk"}, "train": {**_ONE_EPOCH, "patience": -3}, "data": _SYNTH_DATA},
@@ -249,7 +249,7 @@ def _weighted(weight):
         {"model": _weighted(10**400), "train": _ONE_EPOCH, "data": _SYNTH_DATA},
     ],
     ids=["top-list", "model-list", "train-list", "manifest-int", "dim-str", "patch-str",
-         "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "steps-zero",
+         "lr-nan", "lam-inf", "data-unknown-key", "top-unknown-key", "depth-cross-zero",
          "weight-nan", "weight-inf", "patience-negative", "model-seed-negative", "train-seed-negative",
          "lr-int-overflow", "weight-int-overflow"],
 )
@@ -276,13 +276,24 @@ def test_train_deeply_nested_config_exit_2(tmp_path):
         ({"seed": -2}, {}, [], "model.seed must be a non-negative integer, got -2"),
         ({}, {"seed": -3}, [], "train.seed must be a non-negative integer, got -3"),
         ({}, {}, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        ({"hidden_ratio": 4}, {}, [], "model has unknown key 'hidden_ratio'"),
+        ({"integration_steps": 7}, {}, [], "model has unknown key 'integration_steps'"),
+        ({"scales": [{"patch": 4, "window": 8, "heads": 3}]}, {}, [],
+         "model.scales[0].window is read by swin_trans only, not pure_mlp"),
+        ({"scales": [{"patch": 4}, {"patch": 8, "heads": 2}]}, {}, [],
+         "model.scales[1].heads is read by swin_trans only, not pure_mlp"),
+        ({"preset": "mlp_mixer_desk", "scales": [{"patch": 4, "window": 4}]}, {}, [],
+         "model.scales[0].window is read by swin_trans only, not mlp_mixer"),
     ],
-    ids=["precision", "augment-object", "literal-regularizer", "model-seed", "train-seed", "seed-flag"],
+    ids=["precision", "augment-object", "literal-regularizer", "model-seed", "train-seed", "seed-flag",
+         "hidden-ratio", "integration-steps", "window-on-mlp", "heads-on-mlp", "window-on-mixer"],
 )
 def test_train_rejection_names_the_key_before_out_exists(tmp_path, synth_dir, model, train, flags, message):
     # the CLI trains in float32, the checkpoint dtype, so a precision key
     # (also one in an older resolved_config.json) is no field; neither is
-    # literal_regularizer, and augment is a bool where it was an object
+    # literal_regularizer, and augment is a bool where it was an object;
+    # the MLP hidden ratio and the squaring step count are constants, and
+    # only swin_trans reads a scale's window and heads
     config = {"model": {"preset": "pure_mlp_desk", **model}, "train": {**_ONE_EPOCH, **train}, "data": _SYNTH_DATA}
     rc, err = train_with_config(tmp_path, config, *flags)
     assert_one_line_error(rc, err, 2)
@@ -435,16 +446,40 @@ def test_register_malformed_checkpoint_exit_3(tmp_path, tail):
     assert_one_line_error(*register_with_checkpoint(tmp_path, tail), 3)
 
 
-def test_register_checkpoint_with_zero_integration_steps_exit_3(tmp_path):
-    """A stored config that no model accepts fails at load, as data."""
-    raw = desk_checkpoint(tmp_path).read_bytes()
+def register_with_stored_config(directory, **changes) -> tuple[int, str]:
+    """Run ``patchreg register`` on a desk checkpoint whose stored config
+    is updated with ``changes``; return exit code, stderr."""
+    raw = desk_checkpoint(directory).read_bytes()
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + hlen])
-    header["config"]["integration_steps"] = 0
+    header["config"].update(changes)
     tail = length_prefixed(json.dumps(header).encode()) + raw[8 + hlen :]
-    rc, err = register_with_checkpoint(tmp_path, tail)
+    return register_with_checkpoint(directory, tail)
+
+
+def test_register_checkpoint_with_zero_depth_cross_exit_3(tmp_path):
+    """A stored config that no model accepts fails at load, as data."""
+    rc, err = register_with_stored_config(tmp_path, depth_cross=0)
     assert_one_line_error(rc, err, 3)
-    assert "integration_steps" in err
+    assert "depth_cross" in err
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"hidden_ratio": 4}, "model has unknown key 'hidden_ratio'"),
+        ({"integration_steps": 7}, "model has unknown key 'integration_steps'"),
+        ({"scales": [{"patch": 4, "window": 8, "heads": 3, "weight": 1.0}]},
+         "model.scales[0].window is read by swin_trans only, not pure_mlp"),
+    ],
+    ids=["hidden-ratio", "integration-steps", "window-on-mlp"],
+)
+def test_register_checkpoint_config_with_a_field_no_model_reads_exit_3(tmp_path, changes, message):
+    # a checkpoint written while the hidden ratio and the step count were
+    # config fields stores both keys; it is rejected, not read
+    rc, err = register_with_stored_config(tmp_path, **changes)
+    assert_one_line_error(rc, err, 3)
+    assert err.endswith(f": malformed checkpoint ({message})\n"), err
 
 
 _json_values = st.recursive(
