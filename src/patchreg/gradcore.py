@@ -3,19 +3,20 @@
 Provides exactly the differentiable kernels the registration networks
 need. A :class:`Tensor` wraps a float32 or float64 array; operations
 record closures on a DAG and :func:`backward` replays them in reverse
-topological order, visiting each node once. One rule for data: an op
-operand that is not a :class:`Tensor` (a numpy array or a scalar) is a
-constant. :func:`as_tensor` marks it, the op's node keeps no edge to
-it, and a node whose operands are all constants is a constant too and
-keeps no closure; :func:`backward` never reaches one. Images, loss
-targets and sampling grids are such constants. Inside a :func:`no_grad`
-block every operand counts as one, so every op output is a constant and
-a forward pass keeps no graph; the mode is per thread. No tensor keeps
-a gradient: :func:`backward` returns the gradients of the leaves it
-reaches (parameters, inputs) in a dict keyed by tensor, and drops each
-intermediate gradient as soon as it has been passed on. A caller that
-sums several roots, such as a training batch, passes one dict to each
-call.
+topological order, visiting each node once and dropping its closure and
+saved arrays right after, so a graph can be walked once. One rule for
+data: an op operand that is not a :class:`Tensor` (a numpy array or a
+scalar) is a constant. :func:`as_tensor` marks it, the op's node keeps
+no edge to it, and a node whose operands are all constants is a constant
+too and keeps no closure; :func:`backward` never reaches one. Images,
+loss targets and sampling grids are such constants. Inside a
+:func:`no_grad` block every operand counts as one, so every op output is
+a constant and a forward pass keeps no graph; the mode is per thread. No
+tensor keeps a gradient: :func:`backward` returns the gradients of the
+leaves it reaches (parameters, inputs) in a dict keyed by tensor, and
+drops each intermediate gradient as soon as it has been passed on. A
+caller that sums several roots, such as a training batch, passes one
+dict to each call.
 
 Besides the elementary kernels there are two fused kernels.
 :func:`window_attention` is the windowed attention of the swin family:
@@ -100,8 +101,9 @@ class Tensor:
     ``Tensor(x)`` is a differentiated leaf (a parameter, an input under
     test): :func:`backward` returns its gradient under the tensor itself
     as key. A non-leaf carries the closure that routes its gradient to
-    its parents. ``requires_grad`` is False for a constant (see the
-    module docstring), which has no parents and no closure.
+    its parents until :func:`backward` has walked it. ``requires_grad``
+    is False for a constant (see the module docstring), which has no
+    parents and no closure.
     """
 
     __slots__ = ("data", "requires_grad", "_parents", "_backward")
@@ -679,6 +681,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _walked(g):
+    raise ContractError("graph already walked by backward; build it again")
+
+
 def backward(root: Tensor, grads: dict[Tensor, np.ndarray] | None = None) -> dict[Tensor, np.ndarray]:
     """d(root)/d(leaf) for every leaf the root reaches, keyed by leaf.
 
@@ -689,6 +695,11 @@ def backward(root: Tensor, grads: dict[Tensor, np.ndarray] | None = None) -> dic
     the leaf's entry there instead, when there is one, and ``grads`` is
     returned. Constants are never reached: no node keeps an edge to
     one, and a constant root adds nothing.
+
+    A graph is walked once: each inner node drops its edges and closure
+    once visited, so its saved arrays are freed during the walk, and a
+    later walk that reaches it raises :class:`ContractError`. Leaves and
+    the root's value are kept.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
@@ -697,17 +708,21 @@ def backward(root: Tensor, grads: dict[Tensor, np.ndarray] | None = None) -> dic
         return grads
     order = _toposort(root)
     flowing: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = flowing.pop(id(node), None)
+        backward_fn, parents = node._backward, node._parents
+        if backward_fn is not None:
+            node._backward, node._parents = _walked, ()
         if g is None:
             continue
-        if node._backward is None:
+        if backward_fn is None:
             if node in grads:
                 grads[node] += g
             else:
                 grads[node] = np.array(g, dtype=node.data.dtype)
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        for parent, pg in zip(parents, backward_fn(g)):
             if parent is None or pg is None:
                 continue
             key = id(parent)
@@ -878,10 +893,11 @@ def grad_check(
         idx = int(flat - (cum[which] - sizes[which]))
         t = params[name]
         orig = t.data.flat[idx]
-        t.data.flat[idx] = orig + step
-        fp = f(params).item()
-        t.data.flat[idx] = orig - step
-        fm = f(params).item()
+        with no_grad():
+            t.data.flat[idx] = orig + step
+            fp = f(params).item()
+            t.data.flat[idx] = orig - step
+            fm = f(params).item()
         t.data.flat[idx] = orig
         fd = (fp - fm) / (2.0 * step)
         an = 0.0 if analytic[name] is None else float(analytic[name].flat[idx])

@@ -291,10 +291,10 @@ def train(
 
     Each pair's loss, scaled by 1/batch, is backpropagated on its own
     into one gradient dict per batch, which so sums to the gradient of the
-    batch mean for :meth:`Adam.step`, and its graph is freed before the
-    next pair's forward: at most one pair's graph is alive, so memory
-    does not grow with the batch size. The logged batch loss is the mean
-    of the pair losses.
+    batch mean for :meth:`Adam.step`, and :func:`backward` frees its graph
+    as it walks it: at most one pair's graph is alive, so memory does not
+    grow with the batch size. The logged batch loss is the mean of the
+    pair losses.
 
     Training and validation run in the model dtype. The model ends with
     the last epoch's parameters and no copy of them is kept. With an
@@ -337,7 +337,6 @@ def train(
                 if not math.isfinite(value):
                     raise TrainingDiverged(epoch, getattr(pair, "pair_id", "?"), value)
                 backward(cmul(loss, 1.0 / len(batch)), grads)
-                del loss  # free this pair's graph before the next forward
                 pair_losses.append(value)
             optimizer.step(grads)
             steps += 1

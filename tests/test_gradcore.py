@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -384,19 +385,62 @@ def test_backward_requires_scalar_root():
 
 def test_backward_accumulates_on_repeat():
     x = Tensor([1.0, 2.0])
-    loss = gc.sum_all(gc.mul(x, x))
-    grads = backward(loss)
-    assert backward(loss, grads) is grads
+
+    def loss():  # a graph is walked once, so each call gets its own
+        return gc.sum_all(gc.mul(x, x))
+
+    grads = backward(loss())
+    assert backward(loss(), grads) is grads
     assert grads[x].tolist() == [4.0, 8.0]
 
 
 def test_backward_returns_a_new_dict_that_does_not_see_earlier_calls():
     x = Tensor([1.0, 2.0])
-    loss = gc.sum_all(gc.mul(x, x))
-    first = backward(loss)
-    second = backward(loss)
+
+    def loss():
+        return gc.sum_all(gc.mul(x, x))
+
+    first = backward(loss())
+    second = backward(loss())
     assert second is not first and second[x] is not first[x]
     assert first[x].tolist() == second[x].tolist() == [2.0, 4.0]
+
+
+def test_backward_twice_on_one_root_raises():
+    x = Tensor([1.0, 2.0])
+    loss = gc.sum_all(gc.mul(x, x))
+    backward(loss)
+    with pytest.raises(ContractError, match="already walked"):
+        backward(loss)
+
+
+def test_backward_through_a_walked_subgraph_raises():
+    x = Tensor([1.0, 2.0])
+    h = gelu(gc.mul(x, x))
+    backward(gc.sum_all(h))
+    with pytest.raises(ContractError, match="already walked"):
+        backward(gc.sum_all(gc.mul(h, h)))
+
+
+def test_walked_root_and_leaves_stay_usable():
+    x = Tensor([1.0, 2.0])
+    loss = gc.sum_all(gc.mul(x, x))
+    grads = backward(loss)
+    assert loss.item() == 5.0 and x.data.tolist() == [1.0, 2.0]
+    again = backward(gc.sum_all(gc.mul(x, x)))  # the leaf feeds a new graph
+    assert again[x].tolist() == grads[x].tolist() == [2.0, 4.0]
+
+
+def test_backward_frees_intermediate_arrays_as_it_walks():
+    x = Tensor(np.random.default_rng(11).normal(size=(3, 4)))
+    w = Tensor(np.random.default_rng(12).normal(size=(4, 4)))
+    h = gelu(matmul(x, w))
+    loss = gc.sum_all(softmax(h))
+    alive = weakref.ref(h.data)
+    del h
+    assert alive() is not None  # the softmax node still needs it
+    backward(loss)
+    assert alive() is None and loss.item() == pytest.approx(3.0)
 
 
 def test_backward_keeps_grad_on_leaves_only():
@@ -671,6 +715,20 @@ def test_grad_check_reads_an_unreached_parameter_as_zero_gradient():
     assert unused not in backward(_quadratic(ps))
     assert any(p.name == "unused" and p.analytic == 0.0 for p in report.probes)
     assert report.max_rel_err < 1e-8
+
+
+def test_grad_check_probes_build_no_graph():
+    ps = ParamSet(0, dtype=np.float64)
+    ps.add("p", (10,))
+    records = []
+
+    def f(params):
+        out = _quadratic(params)
+        records.append(out.requires_grad)
+        return out
+
+    grad_check(f, ps, n_probes=3, seed=0)
+    assert records == [True] + [False] * 6  # one walked forward, then 2 per probe
 
 
 def wide_init(seed, shape):

@@ -526,17 +526,25 @@ def test_training_memory_does_not_grow_with_batch():
     assert peak_rss(4) <= 1.2 * peak_rss(2)
 
 
-def _pair_step_peak(name):
-    """tracemalloc peak of one 128x128 pair loss plus backward of ``name``."""
+def _pair_step_memory(name):
+    """tracemalloc figures of one 128x128 pair loss plus backward of
+    ``name``: the bytes the forward holds, its peak and the backward's."""
     model = init_model(models.preset(name))
     p = dataio.synth_pair(0, size=128, max_disp=3.0)
-    cfg = TrainConfig()
     tracemalloc.start()
     try:
-        backward(training._pair_loss(model, p.fix, p.mov, cfg))
-        return tracemalloc.get_traced_memory()[1]
+        loss = training._pair_loss(model, p.fix, p.mov, TrainConfig())
+        held, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backward(loss)
+        return held, forward_peak, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _pair_step_peak(name):
+    """tracemalloc peak of one 128x128 pair loss plus backward of ``name``."""
+    return max(_pair_step_memory(name)[1:])
 
 
 def test_swin_pair_step_graph_peak_is_bounded():
@@ -546,24 +554,33 @@ def test_swin_pair_step_graph_peak_is_bounded():
     # per window_attention pass that splits and merges the heads itself,
     # 196 MB once the mlp_branch and layer_norm nodes keep no array they
     # can rebuild, 172 MB once mlp_branch rebuilds tanh(h) in the
-    # backward; the bound sits between the last two
+    # backward, 153 MB once backward frees each node as it walks it; the
+    # bound sits between the last two
     peak = _pair_step_peak("swin_trans_s")
-    assert peak < 184 * 2**20, f"{peak / 2**20:.0f} MB"
+    assert peak < 163 * 2**20, f"{peak / 2**20:.0f} MB"
 
 
 def test_mlp_pair_step_graph_peak_is_bounded():
     # the same for pure_mlp_s: 116 MB while each mlp_branch node kept x-hat,
     # the fc1 input, h, tanh(h) and gelu(h); 77 MB with h and tanh(h);
-    # 53 MB with h only
+    # 53 MB with h only; 45 MB once backward frees each node as it walks it
     peak = _pair_step_peak("pure_mlp_s")
-    assert peak < 66 * 2**20, f"{peak / 2**20:.0f} MB"
+    assert peak < 49 * 2**20, f"{peak / 2**20:.0f} MB"
 
 
 def test_mixer_pair_step_graph_peak_is_bounded():
     # the same for mlp_mixer_s, whose token MLP runs on a transposed view:
-    # 129 MB while each mlp_branch node kept h and tanh(h), 102 MB with h only
+    # 129 MB while each mlp_branch node kept h and tanh(h), 102 MB with h
+    # only, 60 MB once backward frees each node as it walks it
     peak = _pair_step_peak("mlp_mixer_s")
-    assert peak < 116 * 2**20, f"{peak / 2**20:.0f} MB"
+    assert peak < 81 * 2**20, f"{peak / 2**20:.0f} MB"
+
+
+def test_pair_backward_peak_stays_at_what_the_forward_holds():
+    # mlp_mixer_s: the backward peaked at 102 MB over the 59 MB its forward
+    # holds while every node kept its closure until the walk ended
+    held, _, peak = _pair_step_memory("mlp_mixer_s")
+    assert peak <= 1.1 * held, f"{peak / 2**20:.1f} MB peak, {held / 2**20:.1f} MB held"
 
 
 def test_trained_model_retains_no_gradient_buffers():
