@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import dataio, models, svf, training
 from .files import write_file
-from .gradcore import DimensionError, grad_check, no_grad, set_grad_fault
+from .gradcore import grad_check, no_grad, set_grad_fault
 from .metrics import JacobianStats, evaluate_pairs
 from .models import CheckpointError, ConfigError, init_model, load_checkpoint, preset
 from .svf import compose_displacements, mean_interior_magnitude
@@ -47,7 +46,7 @@ def _resolve_model_config(section) -> models.ModelConfig:
     _require(isinstance(section, dict), f"model must be a JSON object, got {type(section).__name__}")
     overrides = dict(section)
     base = preset(overrides.pop("preset")) if "preset" in overrides else models.ModelConfig()
-    cfg = models.ModelConfig.from_dict({**models.config_to_dict(base), **overrides})
+    cfg = models.config_from_dict(models.ModelConfig, {**models.config_to_dict(base), **overrides}, "model")
     cfg.validate()
     return cfg
 
@@ -70,6 +69,14 @@ def cmd_train(args) -> int:
         train_cfg.seed = args.seed
     train_cfg.validate()
 
+    # the data and the model are checked before anything is written, so a
+    # run that fails on them leaves --out as it was
+    train_pairs = dataio.load_image_pairs(data.manifest, data.train_split, model_cfg.image_size)
+    val_pairs = dataio.load_image_pairs(data.manifest, data.val_split, model_cfg.image_size)
+    _require(bool(train_pairs), f"no '{data.train_split}' pairs in {data.manifest}")
+    _require(bool(val_pairs), f"no '{data.val_split}' pairs in {data.manifest}")
+    model = init_model(model_cfg)  # float32, the dtype checkpoints store
+
     out = Path(args.out)
     resolved = {
         "model": models.config_to_dict(model_cfg),
@@ -77,12 +84,6 @@ def cmd_train(args) -> int:
         "data": models.config_to_dict(data),
     }
     write_file(out / "resolved_config.json", json.dumps(resolved, indent=2, sort_keys=True).encode())
-
-    train_pairs = dataio.load_image_pairs(data.manifest, data.train_split, model_cfg.image_size)
-    val_pairs = dataio.load_image_pairs(data.manifest, data.val_split, model_cfg.image_size)
-    _require(bool(train_pairs), f"no '{data.train_split}' pairs in {data.manifest}")
-    _require(bool(val_pairs), f"no '{data.val_split}' pairs in {data.manifest}")
-    model = init_model(model_cfg)  # float32, the dtype checkpoints store
     result = training.train(model, train_pairs, val_pairs, train_cfg, out_dir=out)
     print(
         f"trained {model_cfg.family} for {len(result.log)} epochs "
@@ -94,17 +95,8 @@ def cmd_train(args) -> int:
 def cmd_register(args) -> int:
     model = load_checkpoint(args.checkpoint)
     size = model.config.image_size
-    fix = dataio.read_pgm(args.fix)
-    mov = dataio.read_pgm(args.mov)
-    if args.no_resize:
-        if fix.shape != (size, size) or mov.shape != (size, size):
-            raise DimensionError(
-                f"images {fix.shape}/{mov.shape} do not match model size {size} "
-                "(drop --no-resize to resample)"
-            )
-    else:
-        fix = dataio.resize_image(fix, size)
-        mov = dataio.resize_image(mov, size)
+    fix = dataio.resize_image(dataio.read_pgm(args.fix), size)
+    mov = dataio.resize_image(dataio.read_pgm(args.mov), size)
     with no_grad():
         result = model.register(fix, mov)
     out = Path(args.out)
@@ -156,25 +148,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
+_GRADCHECK_THRESHOLD = 1e-4  # a family passes below this max relative error
+
+
 def cmd_gradcheck(args) -> int:
-    _require(0 < args.step < math.inf, f"--step must be finite and positive, got {args.step}")
-    _require(0 < args.threshold < math.inf, f"--threshold must be a finite number > 0, got {args.threshold}")
-    _require(args.seed >= 0, f"--seed must be a non-negative integer, got {args.seed}")
-    _require(args.probes >= 1, f"--probes must be at least 1, got {args.probes}")
-    families = list(models.FAMILIES) if args.family == "all" else [args.family]
-    # the shipped desk presets at 32 px, through the loss training runs
-    pair = dataio.synth_pair(args.seed, size=32, max_disp=2.0)
+    # the shipped desk presets at 32 px, through the loss training runs,
+    # at grad_check's probes, step and seed
+    pair = dataio.synth_pair(0, size=32, max_disp=2.0)
     ok = True
     set_grad_fault(args.inject_fault)
     try:
-        for family in families:
-            cfg = replace(preset(f"{family}_desk"), image_size=32, seed=args.seed)
+        for family in models.FAMILIES:
+            cfg = replace(preset(f"{family}_desk"), image_size=32)
             model = init_model(cfg, dtype=np.float64, head_init="random")
             report = grad_check(
-                lambda _params: training._pair_loss(model, pair.fix, pair.mov, TrainConfig()),
-                model.params, n_probes=args.probes, step=args.step, seed=args.seed,
+                lambda _params: training._pair_loss(model, pair.fix, pair.mov, TrainConfig()), model.params
             )
-            passed = report.max_rel_err < args.threshold  # False for NaN
+            passed = report.max_rel_err < _GRADCHECK_THRESHOLD  # False for NaN
             print(
                 f"{family}: max rel err {report.max_rel_err:.3e} "
                 f"(mean {report.mean_rel_err:.3e}, {report.n_probes} probes) "
@@ -209,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", required=True, help="fixed image (PGM)")
     p.add_argument("--mov", required=True, help="moving image (PGM)")
     p.add_argument("--out", required=True)
-    p.add_argument("--no-resize", action="store_true", help="require exact input size")
     p.set_defaults(handler=cmd_register)
 
     p = sub.add_parser("evaluate", help="metric report over a manifest split")
@@ -230,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss gradient")
-    p.add_argument("--family", default="all", choices=("all",) + models.FAMILIES)
-    p.add_argument("--probes", type=int, default=10)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_gradcheck)
 

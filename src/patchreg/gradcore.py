@@ -9,14 +9,16 @@ data: an op operand that is not a :class:`Tensor` (a numpy array or a
 scalar) is a constant. :func:`as_tensor` marks it, the op's node keeps
 no edge to it, and a node whose operands are all constants is a constant
 too and keeps no closure; :func:`backward` never reaches one. Images,
-loss targets and sampling grids are such constants. Inside a
-:func:`no_grad` block every operand counts as one, so every op output is
-a constant and a forward pass keeps no graph; the mode is per thread. No
-tensor keeps a gradient: :func:`backward` returns the gradients of the
-leaves it reaches (parameters, inputs) in a dict keyed by tensor, and
-drops each intermediate gradient as soon as it has been passed on. A
-caller that sums several roots, such as a training batch, passes one
-dict to each call.
+loss targets and sampling grids are such constants. :func:`add`,
+:func:`sub` and :func:`mul` broadcast a constant only: an operand that
+needs a gradient must have the output's shape. Inside a
+:func:`no_grad` block every operand counts as a constant, so every op
+output is a constant and a forward pass keeps no graph; the mode is per
+thread. No tensor keeps a gradient: :func:`backward` returns the
+gradients of the leaves it reaches (parameters, inputs) in a dict keyed
+by tensor, and drops each intermediate gradient as soon as it has been
+passed on. A caller that sums several roots, such as a training batch,
+passes one dict to each call.
 
 Besides the elementary kernels there are two fused kernels.
 :func:`window_attention` is the windowed attention of the swin family:
@@ -164,17 +166,14 @@ def as_tensor(x) -> Tensor:
     return t
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+def _check_broadcast(op: str, a: Tensor, b: Tensor, shape: tuple[int, ...]) -> None:
+    """An operand that needs a gradient must have the output's ``shape``, so
+    its gradient is the output's; a constant may broadcast."""
+    if (a.requires_grad and a.data.shape != shape) or (b.requires_grad and b.data.shape != shape):
+        raise DimensionError(
+            f"{op} of shapes {a.shape} and {b.shape}: an operand that needs a gradient "
+            f"must have the output's shape {shape}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    _check_broadcast("add", a, b, data.shape)
 
     def backward_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return g, g
 
     return _node(data, (a, b), backward_fn)
 
@@ -194,9 +194,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
+    _check_broadcast("sub", a, b, data.shape)
 
     def backward_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return g, -g
 
     return _node(data, (a, b), backward_fn)
 
@@ -204,11 +205,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
+    _check_broadcast("mul", a, b, data.shape)
 
     def backward_fn(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            g * b.data if a.requires_grad else None,
+            g * a.data if b.requires_grad else None,
         )
 
     return _node(data, (a, b), backward_fn)

@@ -323,8 +323,6 @@ def evaluate_pairs(model, pairs: list[EvalPair], threads: int | None = None) -> 
     product being shared out among workers × cores BLAS threads; the
     previous count is restored when the pool ends, also when a worker
     raises. A build without OpenBLAS (MKL, Accelerate) is left as it is.
-    On 2 cores this took the benchmark's infer-mlp ``evaluate`` from 9.7
-    to 12.2 pairs/s (medians of 10 runs each, ``CHANGES.md``).
     """
     if threads is None:
         threads = worker_count()

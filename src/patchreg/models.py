@@ -133,13 +133,6 @@ class ModelConfig:
     image_size: int = 128
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        cfg = config_from_dict(cls, d, "model")
-        if "scales" not in d:
-            raise ConfigError("model needs key 'scales'")
-        return cfg
-
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family '{self.family}' (expected one of {FAMILIES})")
@@ -255,17 +248,17 @@ class ChildModel:
 def fuse_multiscale(fields: list[VectorField], weights: list[float]) -> VectorField:
     """Weighted sum of child velocities on the finest child grid.
 
-    Coarser fields are resampled up (with unit conversion) before the sum.
+    Every child's token grid is square; coarser fields are resampled up
+    (with unit conversion) before the sum.
     """
     if not fields:
         raise ContractError("fuse_multiscale needs at least one field")
     if len(fields) != len(weights):
         raise ContractError("one weight per field required")
-    finest = max(fields, key=lambda f: f.height * f.width)
-    th, tw = finest.height, finest.width
+    size = max(f.height for f in fields)
     acc: Tensor | None = None
     for f, w in zip(fields, weights):
-        resampled = resample_field(f, th, tw) if (f.height, f.width) != (th, tw) else f
+        resampled = resample_field(f, size) if f.height != size else f
         term = cmul(resampled.data, float(w))
         acc = term if acc is None else add(acc, term)
     return VectorField(acc, fields[0].kind)
@@ -316,8 +309,7 @@ class RegistrationModel:
 
     def displacement(self, v: VectorField) -> VectorField:
         """exp(v) by scaling and squaring, resampled to image resolution."""
-        s = self.config.image_size
-        return resample_field(integrate_svf(v), s, s)
+        return resample_field(integrate_svf(v), self.config.image_size)
 
     def register(self, fix, mov) -> RegistrationResult:
         """Full pipeline: fused velocity, forward and inverse displacement
@@ -426,7 +418,7 @@ def load_checkpoint(path) -> RegistrationModel:
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise CheckpointError(f"{path}: payload hash mismatch, file corrupt")
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = config_from_dict(ModelConfig, header["config"], "model")
         offset = 0
         arrays: dict[str, np.ndarray] = {}
         for name, shape in header["params"]:

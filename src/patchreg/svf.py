@@ -217,8 +217,7 @@ def _nearest(coord: np.ndarray, n: int) -> np.ndarray:
 
 
 def warp_image(img, disp: VectorField) -> Tensor:
-    """Deform an image [h,w] (or [c,h,w] stack) by a displacement field;
-    the output has the image's shape.
+    """Deform an image [h, w] by a displacement field of the same size.
 
     ``out(i, j) = img(i + dy(i,j), j + dx(i,j))`` with bilinear
     interpolation and clamp-to-edge; differentiable in the displacement
@@ -227,11 +226,9 @@ def warp_image(img, disp: VectorField) -> Tensor:
     if disp.kind != DISPLACEMENT:
         raise FieldKindError(f"warp_image needs a displacement field, got {disp.kind}")
     img = as_tensor(img)
-    if img.ndim not in (2, 3):
-        raise DimensionError(f"warp_image expects [h,w] or [c,h,w], got {img.shape}")
-    if img.shape[-2:] != (disp.height, disp.width):
+    if img.shape != (disp.height, disp.width):
         raise DimensionError(
-            f"image {img.shape[-2:]} and displacement {(disp.height, disp.width)} sizes differ"
+            f"warp_image needs a {disp.height}x{disp.width} image, the displacement's size, got {img.shape}"
         )
     return sample(img, identity_grid(disp.height, disp.width, img.dtype), disp.data)
 
@@ -274,14 +271,14 @@ def integrate_svf(v: VectorField, steps: int = SQUARING_STEPS) -> VectorField:
     return u
 
 
-def resample_field(f: VectorField, new_h: int, new_w: int) -> VectorField:
-    """Resample a field to a new grid and convert its values to the new
-    grid's pixel units (x channel scaled by new_w/old_w, y by new_h/old_h)."""
-    if new_h < 1 or new_w < 1:
+def resample_field(f: VectorField, size: int) -> VectorField:
+    """Resample a field to a size x size grid and convert its values to the
+    new grid's pixel units (x channel scaled by size/width, y by size/height)."""
+    if size < 1:
         raise ContractError("target size must be at least 1x1")
-    grid = aligned_grid(f.height, f.width, new_h, new_w, f.data.dtype)
+    grid = aligned_grid(f.height, f.width, size, size, f.data.dtype)
     resized = sample(f.data, grid)
-    scale = np.array([new_w / f.width, new_h / f.height], dtype=f.data.dtype).reshape(2, 1, 1)
+    scale = np.array([size / f.width, size / f.height], dtype=f.data.dtype).reshape(2, 1, 1)
     return VectorField(cmul(resized, scale), f.kind)
 
 

@@ -49,13 +49,11 @@ def ok(criterion: int, message: str) -> None:
 
 def test_criterion_1_gradient_correctness(capsys):
     t0 = time.perf_counter()
-    rc = main([
-        "gradcheck", "--family", "all", "--probes", "10", "--threshold", "1e-4",
-    ])
+    rc = main(["gradcheck"])
     elapsed = time.perf_counter() - t0
     out = capsys.readouterr().out
     assert rc == 0, out
-    assert elapsed < 300.0  # measured ~4 s
+    assert elapsed < 300.0  # measured 0.1 s on 2 cores
     with capsys.disabled():
         ok(1, f"gradcheck all families < 1e-4 rel err in {elapsed:.1f}s")
 

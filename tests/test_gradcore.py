@@ -217,7 +217,9 @@ def attention_inputs(seed, n=3, heads=2, t=5, d=6):
 
 def composite_attention(q, k, v, bias, mask, scale):
     """The unfused chain on [n, heads, t, d // heads] head splits:
-    matmul -> cmul -> add -> cadd -> softmax -> matmul, heads merged back."""
+    matmul -> cmul -> add -> cadd -> softmax -> matmul, heads merged back.
+    The bias is copied to each window by ``gather_rows``, whose backward
+    sums the copies' gradients."""
     n, t, d = q.shape
     heads = bias.shape[-1]
 
@@ -225,7 +227,9 @@ def composite_attention(q, k, v, bias, mask, scale):
         return gc.transpose(gc.reshape(a, (n, t, heads, d // heads)), (0, 2, 1, 3))
 
     logits = gc.cmul(matmul(split(q), gc.transpose(split(k), (0, 1, 3, 2))), scale)
-    logits = gc.cadd(gc.add(logits, gc.transpose(bias, (2, 0, 1))), mask[:, None])
+    per_head = gc.reshape(gc.transpose(bias, (2, 0, 1)), (1, heads * t * t))
+    per_window = gc.reshape(gc.gather_rows(per_head, np.zeros(n, dtype=np.intp)), (n, heads, t, t))
+    logits = gc.cadd(gc.add(logits, per_window), mask[:, None])
     out = matmul(softmax(logits), split(v))
     return gc.reshape(gc.transpose(out, (0, 2, 1, 3)), (n, t, d))
 
@@ -531,9 +535,9 @@ def test_constant_root_returns_the_given_dict_or_an_empty_one():
 # constants: an operand that is not a Tensor gets no edge and no gradient
 
 _ONE_CONSTANT_OPS = {
-    "add": (gc.add, [(3, 4), (4,)]),
+    "add": (gc.add, [(3, 4), (3, 4)]),
     "sub": (gc.sub, [(3, 4), (3, 4)]),
-    "mul": (gc.mul, [(3, 4), (1, 4)]),
+    "mul": (gc.mul, [(3, 4), (3, 4)]),
     "linear": (linear, [(3, 4), (4, 5), (5,)]),
     "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),
 }
@@ -588,11 +592,17 @@ def test_mul_gradient_is_other_operand(seed):
     assert np.allclose(grads[b], a.data)
 
 
-def test_broadcast_add_sums_gradient():
-    a = Tensor(np.zeros((3, 4)))
-    b = Tensor(np.zeros(4))
-    grads = backward(gc.sum_all(gc.add(a, b)))
-    assert np.allclose(grads[b], 3.0)
+@pytest.mark.parametrize("op", [gc.add, gc.sub, gc.mul], ids=["add", "sub", "mul"])
+def test_broadcast_of_a_differentiated_operand_raises(op):
+    # an operand that needs a gradient must have the output's shape; a
+    # constant may broadcast, and gets no gradient
+    a, b = Tensor(np.ones((3, 4))), np.full(4, 2.0)
+    for x, y in ((a, Tensor(b)), (Tensor(b), a)):
+        with pytest.raises(DimensionError, match=r"\(3, 4\) and \(4,\)|\(4,\) and \(3, 4\)"):
+            op(x, y)
+    for x, y in ((a, b), (b, a)):
+        grads = backward(gc.sum_all(op(x, y)))
+        assert list(grads) == [a] and grads[a].shape == (3, 4)
 
 
 # ---------------------------------------------------------------------------

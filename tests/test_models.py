@@ -425,7 +425,7 @@ def test_checkpoint_rejects_non_checkpoint(tmp_path):
 def test_config_round_trips_through_dict():
     for name in models.PRESET_NAMES:
         cfg = preset(name)
-        assert ModelConfig.from_dict(models.config_to_dict(cfg)) == cfg, name
+        assert models.config_from_dict(ModelConfig, models.config_to_dict(cfg), "model") == cfg, name
 
 
 # ---------------------------------------------------------------------------
