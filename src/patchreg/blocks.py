@@ -193,6 +193,11 @@ class SwinCrossBlock:
     and passed through a residual per-token MLP. The block is built for
     one grid and width and raises :class:`~patchreg.gradcore.DimensionError`
     unless both inputs are [grid * grid, dim].
+
+    The key bias ``k.b`` cannot change any output: it adds q·b_k to every
+    logit of a query row, and the softmax over keys cancels it. It is kept
+    on purpose, to match Swin's qkv projection, the recorded
+    ``param_tables.json`` and the golden bits.
     """
 
     def __init__(self, pset: ParamSet, prefix: str, dim: int, grid: int, window: int, heads: int):

@@ -65,15 +65,6 @@ class DimensionError(ValueError):
 
 _FLOAT_TYPES = (np.float32, np.float64)
 
-# Flipped by the verification CLI to prove the checker detects a wrong
-# backward rule (negative control). Never enabled in normal operation.
-_GRAD_FAULT = False
-
-
-def set_grad_fault(enabled: bool) -> None:
-    global _GRAD_FAULT
-    _GRAD_FAULT = bool(enabled)
-
 
 class _GradMode(threading.local):
     """Whether ops on this thread record a graph; see :func:`no_grad`."""
@@ -456,8 +447,7 @@ def _gelu_tanh(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _gelu_slope(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """gelu'(h) = 0.5 * (1 + t) + 0.5 * h * (1 - t²) * c * (1 + 3 * 0.044715 * h²)
-    in a new array, given ``t = _gelu_tanh(h)``; negated under the grad
-    fault."""
+    in a new array, given ``t = _gelu_tanh(h)``."""
     du = h * h
     du *= 3 * 0.044715
     du += 1.0
@@ -470,8 +460,6 @@ def _gelu_slope(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     np.add(t, 1.0, out=s)
     s *= 0.5
     s += dh
-    if _GRAD_FAULT:
-        np.negative(s, out=s)
     return s
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchreg import cli, dataio, models, training
+from patchreg import cli, dataio, gradcore, models, training
 from patchreg.cli import main
 from patchreg.gradcore import GradCheckReport, cmul
 from patchreg.models import RegistrationModel, init_model, load_checkpoint, preset, save_checkpoint
@@ -200,6 +200,26 @@ def test_train_that_fails_on_its_data_leaves_out_as_it_was(tmp_path, synth_dir):
         assert "no 'val' pairs in" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert not absent.exists()
+
+
+# numpy's message for an array the machine cannot hold (a `dim` or
+# `image_size` far too large); raised, never allocated, since an
+# overcommitting kernel may grant such a request and kill the process later
+_NO_MEMORY = "Unable to allocate 11.6 TiB for an array with shape (4000000, 800000) and data type float32"
+
+
+def raise_no_memory(*args, **kwargs):
+    raise MemoryError(_NO_MEMORY)
+
+
+def test_train_allocation_the_machine_cannot_make_exit_2(tmp_path, synth_dir, monkeypatch):
+    config = write_train_config(tmp_path, synth_dir, epochs=1)
+    monkeypatch.setattr(dataio, "load_image_pairs", raise_no_memory)
+    out = tmp_path / "run"
+    rc, err = run_cli(["train", "--config", str(config), "--out", str(out)])
+    assert_one_line_error(rc, err, 2)
+    assert _NO_MEMORY in err
+    assert not out.exists()
 
 
 def test_train_missing_manifest_exit_2(tmp_path, capsys):
@@ -407,6 +427,18 @@ def test_register_resizes_by_default(tmp_path, synth_dir):
         "--out", str(tmp_path / "reg3"),
     ])
     assert rc == 0
+
+
+def test_register_allocation_the_machine_cannot_make_exit_2(tmp_path, synth_dir, monkeypatch):
+    ckpt = desk_checkpoint(tmp_path)
+    monkeypatch.setattr(dataio, "resize_image", raise_no_memory)
+    rc, err = run_cli([
+        "register", "--checkpoint", str(ckpt),
+        "--fix", str(synth_dir / "synth0000_ed.pgm"), "--mov", str(synth_dir / "synth0000_es.pgm"),
+        "--out", str(tmp_path / "reg"),
+    ])
+    assert_one_line_error(rc, err, 2)
+    assert _NO_MEMORY in err
 
 
 def test_register_corrupt_checkpoint_exit_3(tmp_path, synth_dir):
@@ -825,11 +857,12 @@ def test_evaluate_fuzzed_manifest_exits_cleanly(io_dir, data):
         (["gradcheck", "--seed", "0"], "--seed"),
         (["register", "--checkpoint", "c", "--fix", "f.pgm", "--mov", "m.pgm", "--out", "o", "--no-resize"],
          "--no-resize"),
+        (["gradcheck", "--inject-fault"], "--inject-fault"),
     ],
     ids=["bad-int", "missing-flag", "unknown-subcommand",
          "gradcheck-size", "gradcheck-dim", "gradcheck-patch", "gradcheck-depth",
          "gradcheck-family", "gradcheck-probes", "gradcheck-step", "gradcheck-threshold", "gradcheck-seed",
-         "register-no-resize"],
+         "register-no-resize", "gradcheck-inject-fault"],
 )
 def test_usage_error_is_one_line_exit_2(capsys, argv, names):
     rc = main(argv)
@@ -851,8 +884,11 @@ def test_gradcheck_single_family_passes(monkeypatch, capsys):
 
 
 def test_gradcheck_fault_injection_detected(monkeypatch, capsys):
+    # the negative control, from outside the program: a negated gelu slope
+    slope = gradcore._gelu_slope
+    monkeypatch.setattr(gradcore, "_gelu_slope", lambda h, t: -slope(h, t))
     monkeypatch.setattr(models, "FAMILIES", ("pure_mlp",))
-    rc = main(["gradcheck", "--inject-fault"])
+    rc = main(["gradcheck"])
     assert rc == 1
     assert capsys.readouterr().out.endswith(" FAIL\n")
 

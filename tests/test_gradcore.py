@@ -757,18 +757,22 @@ def test_grad_check_gelu_composite():
     assert report.max_rel_err < 1e-5
 
 
-def test_grad_check_detects_corrupted_backward():
+def negate_gelu_slope(monkeypatch):
+    """The negative control: every gelu backward (``gelu`` and
+    ``mlp_branch`` look ``_gelu_slope`` up when they run) uses -gelu'(h)."""
+    slope = gc._gelu_slope
+    monkeypatch.setattr(gc, "_gelu_slope", lambda h, t: -slope(h, t))
+
+
+def test_grad_check_detects_corrupted_backward(monkeypatch):
     ps = ParamSet(2, dtype=np.float64, values={"w": wide_init(2, (6, 6))})
     ps.add("w", (6, 6))
 
     def f(params):
         return gc.sum_all(gelu(params["w"]))
 
-    gc.set_grad_fault(True)
-    try:
-        report = grad_check(f, ps, n_probes=12, step=1e-5, seed=0)
-    finally:
-        gc.set_grad_fault(False)
+    negate_gelu_slope(monkeypatch)
+    report = grad_check(f, ps, n_probes=12, step=1e-5, seed=0)
     assert report.max_rel_err > 1e-2
 
 
@@ -1035,7 +1039,7 @@ def test_mlp_branch_shape_errors():
         gc.mlp_branch(x, g, b, w1, b1, w2[:2], b2)
 
 
-def test_grad_check_detects_corrupted_mlp_branch_backward():
+def test_grad_check_detects_corrupted_mlp_branch_backward(monkeypatch):
     ps = ParamSet(28, dtype=np.float64)
     for name, a in zip(_MLP_NAMES, mlp_operands(29, n=4, d=5, hidden=7)):
         ps.add(name, a.shape).data[...] = a
@@ -1043,9 +1047,6 @@ def test_grad_check_detects_corrupted_mlp_branch_backward():
     def f(params):
         return scalar_readout(gc.mlp_branch(*(params[n] for n in _MLP_NAMES)), seed=30)
 
-    gc.set_grad_fault(True)
-    try:
-        report = grad_check(f, ps, n_probes=40, step=1e-6, seed=31)
-    finally:
-        gc.set_grad_fault(False)
+    negate_gelu_slope(monkeypatch)
+    report = grad_check(f, ps, n_probes=40, step=1e-6, seed=31)
     assert report.max_rel_err > 1e-2
