@@ -1,14 +1,19 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Provides exactly the differentiable kernels the registration networks
-need. A :class:`Tensor` wraps a float32 or float64 array; operations
-record closures on a DAG and :func:`backward` replays them in reverse
-topological order, visiting each node once and dropping its closure and
-saved arrays right after, so a graph can be walked once. One rule for
-data: an op operand that is not a :class:`Tensor` (a numpy array or a
-scalar) is a constant. :func:`as_tensor` marks it, the op's node keeps
-no edge to it, and a node whose operands are all constants is a constant
-too and keeps no closure; :func:`backward` never reaches one. Images,
+need. A :class:`Tensor` wraps a float32 or float64 array; an operation
+with a graph gives its output a node that holds the edges to its
+operands' nodes (a leaf's edge is the leaf itself) and a backward
+closure. The closure captures the arrays its arithmetic reads, never a
+Tensor, so the graph holds no op output that no backward reads: it is
+freed as soon as the caller drops it. :func:`backward` replays the
+closures in reverse topological order, visiting each node once and
+dropping its closure and saved arrays right after, so a graph can be
+walked once. One rule for data: an op operand that is not a
+:class:`Tensor` (a numpy array or a scalar) is a constant.
+:func:`as_tensor` marks it, the op's node keeps no edge to it, and an
+output whose operands are all constants is a constant too and has no
+node; :func:`backward` never reaches one. Images,
 loss targets and sampling grids are such constants. :func:`add`,
 :func:`sub` and :func:`mul` broadcast a constant only: an operand that
 needs a gradient must have the output's shape. Inside a
@@ -78,8 +83,8 @@ _GRAD_MODE = _GradMode()
 @contextlib.contextmanager
 def no_grad():
     """Within the block, on the calling thread only, every op output is a
-    constant: its node keeps no edge and no closure, so the arrays of a
-    forward pass are freed as soon as nothing else references them."""
+    constant with no node, so the arrays of a forward pass are freed as
+    soon as nothing else references them."""
     previous = _GRAD_MODE.enabled
     _GRAD_MODE.enabled = False
     try:
@@ -88,18 +93,31 @@ def no_grad():
         _GRAD_MODE.enabled = previous
 
 
+class _Node:
+    """An op output's place in the graph: one edge per operand (the
+    operand's node, the operand itself for a leaf, None for a constant)
+    and the closure that maps the output's gradient to the operands'.
+    It holds no value; the closure keeps what the backward reads."""
+
+    __slots__ = ("_parents", "_backward")
+
+    def __init__(self, parents, backward_fn):
+        self._parents = parents
+        self._backward = backward_fn
+
+
 class Tensor:
     """Array value, optionally produced by a graph node.
 
     ``Tensor(x)`` is a differentiated leaf (a parameter, an input under
-    test): :func:`backward` returns its gradient under the tensor itself
-    as key. A non-leaf carries the closure that routes its gradient to
-    its parents until :func:`backward` has walked it. ``requires_grad``
-    is False for a constant (see the module docstring), which has no
-    parents and no closure.
+    test): it has no node, and :func:`backward` returns its gradient
+    under the tensor itself as key. A non-leaf's ``_node`` routes its
+    gradient to its operands until :func:`backward` has walked it; the
+    node does not keep ``data``. ``requires_grad`` is False for a
+    constant (see the module docstring), which has no node.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -107,8 +125,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = True
-        self._parents: tuple[Tensor | None, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -135,16 +152,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
+def _edge(t: Tensor) -> _Node | Tensor | None:
+    """A node's edge to operand ``t``: its node, ``t`` itself for a leaf,
+    None for a constant."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def _node(data, parents, backward_fn) -> Tensor:
     """An op's output. A constant parent's edge is None, so ``backward_fn``'s
     value in its slot is dropped; with no edge left, or under
-    :func:`no_grad`, the output is a constant."""
+    :func:`no_grad`, the output is a constant. ``backward_fn`` must not
+    capture a Tensor, or it keeps that tensor's value alive."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    edges = tuple(p if p.requires_grad else None for p in parents) if _GRAD_MODE.enabled else ()
+    edges = tuple(map(_edge, parents)) if _GRAD_MODE.enabled else ()
     out.requires_grad = edges.count(None) < len(edges)
-    out._parents = edges if out.requires_grad else ()
-    out._backward = backward_fn if out.requires_grad else None
+    out._node = _Node(edges, backward_fn) if out.requires_grad else None
     return out
 
 
@@ -197,12 +222,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
     _check_broadcast("mul", a, b, data.shape)
+    # each side keeps the other's value, and only when it needs a gradient
+    ka = b.data if a.requires_grad else None
+    kb = a.data if b.requires_grad else None
 
     def backward_fn(g):
-        return (
-            g * b.data if a.requires_grad else None,
-            g * a.data if b.requires_grad else None,
-        )
+        return None if ka is None else g * ka, None if kb is None else g * kb
 
     return _node(data, (a, b), backward_fn)
 
@@ -235,11 +260,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         or a.shape[:-2] != b.shape[:-2]
     ):
         raise DimensionError(f"cannot matmul shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
+    data = ad @ bd
 
     def backward_fn(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
+        ga = g @ bd.swapaxes(-1, -2)
+        gb = ad.swapaxes(-1, -2) @ g
         return ga, gb
 
     return _node(data, (a, b), backward_fn)
@@ -280,8 +306,9 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     if a.ndim < 2:
         raise DimensionError(f"gather_rows needs an operand of 2 or more axes, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
-    m = a.shape[-1]
-    n = math.prod(a.shape[:-1])
+    shape, dtype = a.shape, a.dtype
+    m = shape[-1]
+    n = math.prod(shape[:-1])
     data = a.data.reshape(n, m)[idx]
     rows = idx.ravel() % max(n, 1)  # negative indices count from the end
     if rows.size == n and np.all(np.bincount(rows, minlength=n) == 1):
@@ -289,24 +316,26 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         inv[rows] = np.arange(n, dtype=np.intp)
 
         def backward_fn(g):
-            return (g.reshape(n, m)[inv].reshape(a.shape),)
+            return (g.reshape(n, m)[inv].reshape(shape),)
 
     else:
 
         def backward_fn(g):
             flat = rows[:, None] * m + np.arange(m, dtype=np.intp)
-            z = np.bincount(flat.ravel(), g.ravel(), minlength=a.size)
-            return (z.reshape(a.shape).astype(a.dtype),)
+            z = np.bincount(flat.ravel(), g.ravel(), minlength=n * m)
+            return (z.reshape(shape).astype(dtype),)
 
     return _node(data, (a,), backward_fn)
 
 
 def slice_tensor(a: Tensor, key) -> Tensor:
-    """Basic (non-fancy) slicing with scatter backward."""
+    """Basic (non-fancy) slicing with scatter backward into a new C-order
+    array of ``a``'s shape."""
     data = a.data[key]
+    shape, dtype = a.shape, a.dtype
 
     def backward_fn(g):
-        z = np.zeros_like(a.data)
+        z = np.zeros(shape, dtype)
         z[key] = g
         return (z,)
 
@@ -315,9 +344,10 @@ def slice_tensor(a: Tensor, key) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum(), dtype=a.dtype)
+    shape = a.shape
 
     def backward_fn(g):
-        return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _node(data, (a,), backward_fn)
 
@@ -325,9 +355,10 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     n = a.size
     data = np.asarray(a.data.mean(), dtype=a.dtype)
+    shape = a.shape
 
     def backward_fn(g):
-        return (np.broadcast_to(g / n, a.data.shape),)
+        return (np.broadcast_to(g / n, shape),)
 
     return _node(data, (a,), backward_fn)
 
@@ -343,10 +374,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear: cannot multiply {x.shape} by {w.shape}")
     if b.shape != (w.shape[1],):
         raise DimensionError(f"linear: bias {b.shape} does not match output width {w.shape[1]}")
-    data = x.data @ w.data + b.data
+    xd = x.data
+    data = xd @ w.data + b.data
+    wd = w.data if x.requires_grad else None  # read only for x's gradient
 
     def backward_fn(g):
-        return g @ w.data.T if x.requires_grad else None, x.data.T @ g, g.sum(axis=0)
+        return None if wd is None else g @ wd.T, xd.T @ g, g.sum(axis=0)
 
     return _node(data, (x, w, b), backward_fn)
 
@@ -417,12 +450,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(
             f"layer_norm: scale/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    data, mean, inv = _normalize(x.data)
-    data *= gamma.data  # x̂ is rebuilt in the backward
+    xd, gd = x.data, gamma.data
+    data, mean, inv = _normalize(xd)
+    data *= gd  # x̂ is rebuilt in the backward
     data += beta.data
 
     def backward_fn(g):
-        return _layer_norm_grads(g, _renormalize(x.data, mean, inv), inv, gamma.data)
+        return _layer_norm_grads(g, _renormalize(xd, mean, inv), inv, gd)
 
     return _node(data, (x, gamma, beta), backward_fn)
 
@@ -585,7 +619,8 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
     that write into whole-matrix buffers; in the forward
     ``t = tanh(c·(h + 0.044715·h³))`` lives one row block at a time. A graph
     node keeps only the pre-activation ``h = y @ w1 + b1`` and each
-    row's mean and 1/σ; ``x`` is held by the node's edge or closure.
+    row's mean and 1/σ, besides the operand arrays it reads (``x``, γ,
+    β, ``w1`` and ``w2``).
     The backward rebuilds t once, into a buffer that lives for that
     call and feeds both gelu(h) = 0.5·h·(1 + t) and its slope, and x̂
     and the ``fc1`` input ``y = x̂·γ + β``, all with the forward's
@@ -652,10 +687,11 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w
 # graph traversal
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(root: _Node | Tensor) -> list[_Node | Tensor]:
+    """The nodes and leaves ``root`` reaches, each after its parents."""
+    order: list[_Node | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -665,9 +701,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p is not None and id(p) not in seen:
-                stack.append((p, False))
+        if isinstance(node, _Node):
+            for p in node._parents:
+                if p is not None and id(p) not in seen:
+                    stack.append((p, False))
     return order
 
 
@@ -686,31 +723,33 @@ def backward(root: Tensor, grads: dict[Tensor, np.ndarray] | None = None) -> dic
     returned. Constants are never reached: no node keeps an edge to
     one, and a constant root adds nothing.
 
-    A graph is walked once: each inner node drops its edges and closure
-    once visited, so its saved arrays are freed during the walk, and a
-    later walk that reaches it raises :class:`ContractError`. Leaves and
-    the root's value are kept.
+    A graph is walked once: each node drops its edges and closure once
+    visited, so its saved arrays are freed during the walk, and a later
+    walk that reaches it raises :class:`ContractError`. Leaves and the
+    root's value are kept.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     grads = {} if grads is None else grads
     if not root.requires_grad:
         return grads
-    order = _toposort(root)
-    flowing: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+    start = _edge(root)
+    order = _toposort(start)
+    flowing: dict[int, np.ndarray] = {id(start): np.ones_like(root.data)}
     while order:
         node = order.pop()
         g = flowing.pop(id(node), None)
-        backward_fn, parents = node._backward, node._parents
-        if backward_fn is not None:
-            node._backward, node._parents = _walked, ()
-        if g is None:
-            continue
-        if backward_fn is None:
+        if isinstance(node, Tensor):  # a leaf
+            if g is None:
+                continue
             if node in grads:
                 grads[node] += g
             else:
                 grads[node] = np.array(g, dtype=node.data.dtype)
+            continue
+        backward_fn, parents = node._backward, node._parents
+        node._backward, node._parents = _walked, ()
+        if g is None:
             continue
         for parent, pg in zip(parents, backward_fn(g)):
             if parent is None or pg is None:

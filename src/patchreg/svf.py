@@ -157,8 +157,10 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
     corners = None
     if disp is not None and disp.requires_grad:
         corners = [np.take(flat, i00 + off, axis=1) for off in offsets]
+        disp_dtype = disp.dtype
     else:
         x = y = None
+    img_grad, img_shape, img_dtype = img.requires_grad, im.shape, im.dtype  # no image value is kept
 
     def corner(k):
         """Corner k's values, gathered when needed unless the node keeps them."""
@@ -174,7 +176,7 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
         gi = gd = None
         g = g.reshape((c,) + i00.shape)
         gx, gy = 1 - fx, 1 - fy
-        if img.requires_grad:
+        if img_grad:
             # one bincount over (corner, channel, pixel), the order that fixes its float sums
             index = np.empty((4, c, i00.size), np.intp)
             np.add(i00.reshape(1, -1), (h * w) * np.arange(c).reshape(c, 1), out=index[0])
@@ -184,12 +186,12 @@ def sample(img, grid: np.ndarray, disp: Tensor | None = None) -> Tensor:
             for wk, out in zip((gy * gx, gy * fx, fy * gx, fy * fx), weight):
                 np.multiply(wk, g, out=out)
             gi = np.bincount(index.ravel(), weight.ravel(), minlength=c * h * w)
-            gi = gi.reshape(im.shape).astype(im.dtype)
+            gi = gi.reshape(img_shape).astype(img_dtype)
         if corners is not None:
             v00, v01, v10, v11 = corners
             ddx = (gy * (v01 - v00) + fy * (v11 - v10)) * g
             ddy = (gx * (v10 - v00) + fx * (v11 - v01)) * g
-            gd = np.empty((2,) + i00.shape, disp.dtype)
+            gd = np.empty((2,) + i00.shape, disp_dtype)
             np.multiply(ddx.sum(axis=0), (x > 0.0) & (x < w - 1.0), out=gd[0])
             np.multiply(ddy.sum(axis=0), (y > 0.0) & (y < h - 1.0), out=gd[1])
         return gi, gd

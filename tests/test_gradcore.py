@@ -1,5 +1,6 @@
 """Kernel-level checks of the autodiff engine against finite differences."""
 
+import inspect
 import math
 import tracemalloc
 import weakref
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchreg import gradcore as gc, models
+from patchreg import gradcore as gc, models, svf
 from patchreg.gradcore import (
     ContractError,
     DimensionError,
@@ -436,15 +437,160 @@ def test_walked_root_and_leaves_stay_usable():
 
 
 def test_backward_frees_intermediate_arrays_as_it_walks():
+    # gelu's backward reads its input and softmax's its own output, so
+    # those live until the walk passes their nodes; gelu's output is read
+    # by no backward, so it dies with the caller's reference
     x = Tensor(np.random.default_rng(11).normal(size=(3, 4)))
     w = Tensor(np.random.default_rng(12).normal(size=(4, 4)))
-    h = gelu(matmul(x, w))
-    loss = gc.sum_all(softmax(h))
-    alive = weakref.ref(h.data)
-    del h
-    assert alive() is not None  # the softmax node still needs it
+    m = matmul(x, w)
+    h = gelu(m)
+    s = softmax(h)
+    loss = gc.sum_all(s)
+    product, activation, probs = (weakref.ref(t.data) for t in (m, h, s))
+    del m, h, s
+    assert activation() is None
+    assert product() is not None and probs() is not None
     backward(loss)
-    assert alive() is None and loss.item() == pytest.approx(3.0)
+    assert product() is None and probs() is None and loss.item() == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# lifetimes: the graph keeps an array only while a backward still reads it
+
+
+def _inner(rng, shape):
+    """An op output that is not a leaf (a leaf is its own edge, so the
+    graph keeps a leaf's array), from an op whose node keeps no array."""
+    return gc.neg(Tensor(rng.normal(size=shape)))
+
+
+_UNREAD_OPERAND_OPS = {
+    "add": lambda a, rng: gc.add(a, _inner(rng, a.shape)),
+    "sub": lambda a, rng: gc.sub(_inner(rng, a.shape), a),
+    "transpose": lambda a, rng: gc.transpose(a),
+    "reshape": lambda a, rng: gc.reshape(a, (-1,)),
+    "cmul": lambda a, rng: gc.cmul(a, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREAD_OPERAND_OPS))
+def test_an_operand_no_backward_reads_dies_with_the_callers_reference(name):
+    rng = np.random.default_rng(50)
+    a = _inner(rng, (6, 4))
+    alive = weakref.ref(a.data)
+    root = gc.sum_all(_UNREAD_OPERAND_OPS[name](a, rng))  # sum_all keeps the shape only
+    del a
+    assert alive() is None
+    grads = backward(root)  # the walk reads none of it
+    assert len(grads) == (2 if name in ("add", "sub") else 1)
+
+
+def test_a_linear_output_that_feeds_gather_rows_dies_with_the_callers_reference():
+    # the swin blocks split windows by gathering the rows of a linear output
+    rng = np.random.default_rng(51)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((8, 3), (3, 5), (5,)))
+    idx = rng.permutation(8).reshape(2, 4)
+    kept = linear(x, w, b)
+    want = backward(scalar_readout(gc.gather_rows(kept, idx)))
+    y = linear(x, w, b)
+    root = scalar_readout(gc.gather_rows(y, idx))
+    alive = weakref.ref(y.data)
+    del y
+    assert alive() is None
+    got = backward(root)
+    for t in (x, w, b):
+        assert np.array_equal(got[t], want[t])
+
+
+_READ_ARRAY_OPS = {
+    # the op, and whether its backward reads its operand's array or its output's
+    "linear": (lambda a, rng: linear(a, Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))), "operand"),
+    "gelu": (lambda a, rng: gelu(a), "operand"),
+    "layer_norm": (lambda a, rng: layer_norm(a, Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))), "operand"),
+    "softmax": (lambda a, rng: softmax(a), "output"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READ_ARRAY_OPS))
+def test_an_array_a_backward_reads_lives_until_the_walk_passes_it(name):
+    op, read = _READ_ARRAY_OPS[name]
+    rng = np.random.default_rng(52)
+    a = _inner(rng, (6, 4))
+    out = op(a, rng)
+    alive = weakref.ref((a if read == "operand" else out).data)
+    root = gc.sum_all(out)
+    del a, out
+    assert alive() is not None
+    backward(root)
+    assert alive() is None
+
+
+def _recording_ops():
+    """Names of the gradcore and svf functions that record a graph node."""
+    return {
+        name
+        for mod in (gc, svf)
+        for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and name != "_node"
+        and "_node(" in inspect.getsource(fn)
+    }
+
+
+def _one_output_per_op():
+    """Each recording op's output (both backward forms of gather_rows), on
+    operands that all need a gradient, so every branch keeps what it reads."""
+    rng = np.random.default_rng(53)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    attention, mask = attention_inputs(54)
+    return {
+        "add": [gc.add(t(3, 4), t(3, 4))],
+        "sub": [gc.sub(t(3, 4), t(3, 4))],
+        "mul": [gc.mul(t(3, 4), t(3, 4)), gc.cmul(t(3, 4), 2.0)],
+        "neg": [gc.neg(t(3, 4))],
+        "matmul": [matmul(t(3, 4), t(4, 2))],
+        "transpose": [gc.transpose(t(3, 4))],
+        "reshape": [gc.reshape(t(3, 4), (12,))],
+        "gather_rows": [gc.gather_rows(t(4, 3), [2, 0, 3, 1]), gc.gather_rows(t(4, 3), [0, 0, 2])],
+        "slice_tensor": [gc.slice_tensor(t(3, 4), (slice(1, None),))],
+        "sum_all": [gc.sum_all(t(3, 4))],
+        "mean_all": [gc.mean_all(t(3, 4))],
+        "linear": [linear(t(3, 4), t(4, 2), t(2))],
+        "layer_norm": [layer_norm(t(3, 4), t(4), t(4))],
+        "gelu": [gelu(t(3, 4))],
+        "softmax": [softmax(t(3, 4))],
+        "window_attention": [gc.window_attention(*(Tensor(a) for a in attention), mask, 0.5)],
+        "mlp_branch": [gc.mlp_branch(*(Tensor(a) for a in mlp_operands(55, n=6, d=4, hidden=8)))],
+        "sample": [svf.sample(t(2, 5, 6), svf.identity_grid(5, 6), t(2, 5, 6))],
+    }
+
+
+def _captured(fn):
+    """Every object ``fn``'s closure reaches through nested functions, lists and tuples."""
+    seen, stack, found = set(), [fn], []
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        found.append(v)
+        if inspect.isfunction(v):
+            stack.extend(c.cell_contents for c in v.__closure__ or ())
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+    return found
+
+
+def test_no_backward_closure_captures_a_tensor():
+    # a captured Tensor keeps its value alive for as long as the node
+    outs = _one_output_per_op()
+    assert set(outs) == _recording_ops()
+    for name, group in outs.items():
+        for out in group:
+            assert out.requires_grad, name
+            assert not any(isinstance(v, Tensor) for v in _captured(out._node._backward)), name
 
 
 def test_backward_keeps_grad_on_leaves_only():
@@ -480,13 +626,13 @@ def _grad_attr_sum(leaves, roots, zeroed=False):
     as ``backward``."""
     held = {id(t): np.zeros_like(t.data) for t in leaves} if zeroed else {}
     for root in roots:
-        order = gc._toposort(root)
-        flowing = {id(root): np.ones_like(root.data)}
+        order = gc._toposort(root._node)
+        flowing = {id(root._node): np.ones_like(root.data)}
         for node in reversed(order):
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
+            if isinstance(node, Tensor):  # a leaf
                 if id(node) not in held:
                     held[id(node)] = np.array(g, dtype=node.data.dtype)
                 else:
@@ -553,7 +699,7 @@ def test_numpy_operand_leaves_other_gradients_bit_identical(name):
         full_grads = backward(scalar_readout(op(*full)))
         mixed = [a.copy() if i == const else Tensor(a.copy()) for i, a in enumerate(arrays)]
         out = op(*mixed)
-        assert out.requires_grad and out._parents[const] is None
+        assert out.requires_grad and out._node._parents[const] is None
         mixed_grads = backward(scalar_readout(out))
         for i, (f, m) in enumerate(zip(full, mixed)):
             if i != const:
@@ -563,9 +709,9 @@ def test_numpy_operand_leaves_other_gradients_bit_identical(name):
 def test_op_on_numpy_operands_only_is_a_constant():
     rng = np.random.default_rng(12)
     c = linear(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2))
-    assert not c.requires_grad and c._backward is None and c._parents == ()
+    assert not c.requires_grad and c._node is None
     root = gc.sum_all(gelu(c))
-    assert not root.requires_grad and root._backward is None
+    assert not root.requires_grad and root._node is None
     assert backward(root) == {}
     p = Tensor(rng.normal(size=(3, 2)))
     grads = backward(gc.sum_all(gc.mul(p, c)))
@@ -837,7 +983,7 @@ def test_ops_under_no_grad_return_constants_and_backward_is_a_no_op():
     with gc.no_grad():
         h, root = forward()
     for t in (h, root):
-        assert not t.requires_grad and t._backward is None and t._parents == ()
+        assert not t.requires_grad and t._node is None
     assert backward(root) == {}
     recorded_h, recorded_root = forward()
     assert recorded_root.requires_grad
@@ -956,11 +1102,11 @@ def test_mlp_branch_is_bit_identical_to_the_composite_chain(dtype, transposed):
     assert np.array_equal(constant.data, fused_out)
 
 
-def _kept_bytes(node):
-    """ndarray bytes in ``node``'s backward closure, the operands' own arrays left out."""
-    operands = {id(p.data) for p in node._parents if p is not None}
-    cells = (c.cell_contents for c in node._backward.__closure__)
-    return sum(a.nbytes for a in cells if isinstance(a, np.ndarray) and id(a) not in operands)
+def _kept_bytes(out, operands):
+    """ndarray bytes in ``out``'s backward closure, the ``operands``' own arrays left out."""
+    own = {id(t.data) for t in operands}
+    cells = (c.cell_contents for c in out._node._backward.__closure__)
+    return sum(a.nbytes for a in cells if isinstance(a, np.ndarray) and id(a) not in own)
 
 
 @pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed"])
@@ -973,8 +1119,8 @@ def test_mlp_branch_and_layer_norm_nodes_keep_no_rebuildable_array(transposed):
     ts = [Tensor(a.T.copy() if transposed and i == 0 else a) for i, a in enumerate(arrays)]
     x = gc.transpose(ts[0]) if transposed else ts[0]
     item = x.data.itemsize
-    assert _kept_bytes(gc.mlp_branch(x, *ts[1:])) <= n * hidden * item + 4 * n * item
-    assert _kept_bytes(layer_norm(x, ts[1], ts[2])) <= 4 * n * item
+    assert _kept_bytes(gc.mlp_branch(x, *ts[1:]), [x, *ts[1:]]) <= n * hidden * item + 4 * n * item
+    assert _kept_bytes(layer_norm(x, ts[1], ts[2]), [x, *ts[1:3]]) <= 4 * n * item
 
 
 @pytest.mark.parametrize("n, d, transposed", [(1600, 128, False), (128, 1024, True)], ids=["rows", "transposed"])

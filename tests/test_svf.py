@@ -1,11 +1,13 @@
 """Field machinery: exponentiation, composition, warping, resampling,
 Jacobians, serialization."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchreg.gradcore import DimensionError, Tensor, as_tensor, backward, sum_all, mul
+from patchreg.gradcore import DimensionError, Tensor, as_tensor, backward, mul, neg, sum_all
 from patchreg.svf import (
     DISPLACEMENT,
     VELOCITY,
@@ -414,7 +416,7 @@ def test_sample_is_bit_identical_to_oracle(name, c, dtype):
     ref_out, ref_gi, ref_gd = oracle_sample(im, grid, disp, g)
 
     out = sample(Tensor(im.copy()), grid, None if disp is None else Tensor(disp.copy()))
-    gi, gd = out._backward(g)
+    gi, gd = out._node._backward(g)
     for label, got, ref in (("out", out.data, ref_out), ("img grad", gi, ref_gi), ("disp grad", gd, ref_gd)):
         if ref is None:
             assert got is None, label
@@ -426,8 +428,19 @@ def test_sample_is_bit_identical_to_oracle(name, c, dtype):
         assert np.isnan(out.data[:, bad]).all() and not np.isnan(out.data[:, ~bad]).any()
     # a constant disp keeps no disp gradient, and the image gradient is unchanged
     if disp is not None:
-        gi_const, gd_const = sample(Tensor(im.copy()), grid, as_tensor(disp))._backward(g)
+        gi_const, gd_const = sample(Tensor(im.copy()), grid, as_tensor(disp))._node._backward(g)
         assert gd_const is None and gi_const.tobytes() == ref_gi.tobytes()
+
+
+def test_sample_under_a_constant_displacement_keeps_no_image():
+    # the backward of the image needs the cells and fractions only
+    rng = np.random.default_rng(18)
+    img = neg(Tensor(rng.normal(size=(2, 5, 6))))  # not a leaf: a leaf is its own edge
+    alive = weakref.ref(img.data)
+    root = sum_all(sample(img, identity_grid(5, 6), as_tensor(rng.normal(size=(2, 5, 6)))))
+    del img
+    assert alive() is None
+    assert len(backward(root)) == 1
 
 
 # ---------------------------------------------------------------------------
