@@ -25,6 +25,29 @@ from patchreg.svf import (
 )
 
 
+def field_statistics(n, size, max_velocity, sigma=None, steps=SQUARING_STEPS) -> dict:
+    """Integrator statistics over the random smooth fields of seeds 0..n-1.
+
+    Per field: ``convergence``, the largest change from ``steps`` to
+    ``steps + 2`` squarings, and ``inverse``, the interior residual of the
+    backward field composed with the forward one (both in px). Over all
+    fields: ``folded`` of ``pixels`` interior pixels have a non-positive
+    Jacobian determinant.
+    """
+    conv, inv, folded, pixels = [], [], 0, 0
+    for seed in range(n):
+        v = random_smooth_velocity(seed, size, size, max_velocity, sigma=sigma)
+        fwd = integrate_svf(v, steps)
+        fine = integrate_svf(v, steps + 2)
+        conv.append(np.abs(fwd.array - fine.array).max())
+        bwd = integrate_svf(VectorField(-v.array, VELOCITY), steps)
+        inv.append(mean_interior_magnitude(compose_displacements(bwd, fwd), margin=4))
+        jac = jacobian_determinant(fwd)[1:-1, 1:-1]
+        folded += int((jac <= 0).sum())
+        pixels += jac.size
+    return {"convergence": conv, "inverse": inv, "folded": folded, "pixels": pixels}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=100)
@@ -34,23 +57,12 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=SQUARING_STEPS, help="squaring steps (default: the model's)")
     args = parser.parse_args()
 
-    conv, inv, neg = [], [], 0
-    total = 0
-    for seed in range(args.n):
-        v = random_smooth_velocity(seed, args.size, args.size, args.max_velocity, sigma=args.sigma)
-        fwd = integrate_svf(v, args.steps)
-        fine = integrate_svf(v, args.steps + 2)
-        conv.append(np.abs(fwd.array - fine.array).max())
-        bwd = integrate_svf(VectorField(-v.array, VELOCITY), args.steps)
-        inv.append(mean_interior_magnitude(compose_displacements(bwd, fwd), margin=4))
-        jac = jacobian_determinant(fwd)[1:-1, 1:-1]
-        neg += int((jac <= 0).sum())
-        total += jac.size
-
+    stats = field_statistics(args.n, args.size, args.max_velocity, args.sigma, args.steps)
+    conv, inv = stats["convergence"], stats["inverse"]
     print(f"fields: {args.n} at {args.size}x{args.size}, |v|max {args.max_velocity}px, {args.steps} steps")
     print(f"self-convergence vs +2 steps: mean {np.mean(conv):.2e}  worst {max(conv):.2e} px")
     print(f"inverse-consistency residual: mean {np.mean(inv):.2e}  worst {max(inv):.2e} px")
-    print(f"folded interior pixels: {neg} / {total}")
+    print(f"folded interior pixels: {stats['folded']} / {stats['pixels']}")
     return 0
 
 

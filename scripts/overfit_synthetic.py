@@ -21,15 +21,17 @@ from patchreg.dataio import ImagePair
 from patchreg.svf import jacobian_determinant, warp_image
 
 
-def run_family(family: str, pair, args) -> dict:
+def run_family(family: str, pair, lr: float, iterations: int, seed: int):
+    """Train the family's desk preset on ``pair`` for ``iterations`` steps;
+    return its row of results and the trained model."""
     model = models.init_model(models.preset(f"{family}_desk"))
     cfg = training.TrainConfig(
-        lr=args.lr,
-        max_epochs=args.iterations,
-        patience=args.iterations,
+        lr=lr,
+        max_epochs=iterations,
+        patience=iterations,
         lam=0.01,
         batch_size=1,
-        seed=args.seed,
+        seed=seed,
         augment=False,
     )
     record = ImagePair("synth", pair.fix, pair.mov)
@@ -42,7 +44,7 @@ def run_family(family: str, pair, args) -> dict:
     identity_mse = float(((pair.fix - pair.mov) ** 2).mean())
     warped_mask = metrics.warp_mask(pair.mov_mask, out.disp_forward)
     jac = jacobian_determinant(out.disp_forward)
-    return {
+    row = {
         "family": family,
         "steps": result.steps,
         "seconds": round(seconds, 1),
@@ -54,6 +56,7 @@ def run_family(family: str, pair, args) -> dict:
         "epe_px": metrics.endpoint_error(out.disp_inverse, pair.gt_disp, mask=pair.fix_mask),
         "jac_neg_frac": float((jac <= 0).mean()),
     }
+    return row, model
 
 
 def main() -> int:
@@ -74,7 +77,7 @@ def main() -> int:
         f"identity MSE {((pair.fix - pair.mov) ** 2).mean():.5f}"
     )
 
-    rows = [run_family(f, pair, args) for f in args.families]
+    rows = [run_family(f, pair, args.lr, args.iterations, args.seed)[0] for f in args.families]
     cols = list(rows[0].keys())
     widths = {c: max(len(c), 10) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))

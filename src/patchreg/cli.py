@@ -1,9 +1,10 @@
 """Command-line entry points: train, register, evaluate, synth, gradcheck.
 
-Batch-oriented: every run reads flags plus an optional JSON config
-(flags win), persists its fully resolved configuration, and writes
-files/CSV/JSON reports. Exit codes: 0 success, 1 verification failure,
-2 usage or config error, 3 data integrity error.
+Batch-oriented: ``train`` reads a JSON config (its ``--seed`` flag wins)
+and persists its fully resolved configuration; ``synth``, ``train``,
+``register`` and ``evaluate`` write files and CSV/JSON reports, and
+``gradcheck`` prints one line per family. Exit codes: 0 success,
+1 verification failure, 2 usage or config error, 3 data integrity error.
 """
 
 from __future__ import annotations

@@ -96,13 +96,10 @@ def diffusion_regularizer(disp: VectorField) -> Tensor:
     """
     u = disp.data
     _, h, w = u.shape
-    dx = sub(slice_tensor(u, (slice(None), slice(None), slice(1, None))),
-             slice_tensor(u, (slice(None), slice(None), slice(0, w - 1))))
-    dy = sub(slice_tensor(u, (slice(None), slice(1, None), slice(None))),
-             slice_tensor(u, (slice(None), slice(0, h - 1), slice(None))))
-    sx = cmul(mean_all(mul(dx, dx)), 2.0 * h * (w - 1) / (h * w))
-    sy = cmul(mean_all(mul(dy, dy)), 2.0 * (h - 1) * w / (h * w))
-    return add(sx, sy)
+    every = slice(None)
+    sx = mse(slice_tensor(u, (every, every, slice(1, None))), slice_tensor(u, (every, every, slice(0, w - 1))))
+    sy = mse(slice_tensor(u, (every, slice(1, None), every)), slice_tensor(u, (every, slice(0, h - 1), every)))
+    return add(cmul(sx, 2.0 * h * (w - 1) / (h * w)), cmul(sy, 2.0 * (h - 1) * w / (h * w)))
 
 
 def symmetric_loss(fix, mov, result: RegistrationResult, lam: float) -> Tensor:

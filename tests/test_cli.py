@@ -875,22 +875,24 @@ def test_usage_error_is_one_line_exit_2(capsys, argv, names):
 # gradcheck
 
 
-def test_gradcheck_single_family_passes(monkeypatch, capsys):
-    monkeypatch.setattr(models, "FAMILIES", ("pure_mlp",))
+def test_gradcheck_every_family_passes(capsys):
     rc = main(["gradcheck"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == list(models.FAMILIES)
+    assert all(line.endswith(", 10 probes) ok") for line in lines), lines
     assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("pure_mlp: ") and out.endswith(", 10 probes) ok\n")
 
 
 def test_gradcheck_fault_injection_detected(monkeypatch, capsys):
     # the negative control, from outside the program: a negated gelu slope
+    # must print FAIL for every family, not crash
     slope = gradcore._gelu_slope
     monkeypatch.setattr(gradcore, "_gelu_slope", lambda h, t: -slope(h, t))
-    monkeypatch.setattr(models, "FAMILIES", ("pure_mlp",))
     rc = main(["gradcheck"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == list(models.FAMILIES)
+    assert all(line.endswith(" FAIL") for line in lines), lines
     assert rc == 1
-    assert capsys.readouterr().out.endswith(" FAIL\n")
 
 
 def test_gradcheck_checks_the_desk_presets_through_the_training_loss(monkeypatch, capsys):
