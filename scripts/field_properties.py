@@ -31,8 +31,8 @@ def field_statistics(n, size, max_velocity, sigma=None, steps=SQUARING_STEPS) ->
     Per field: ``convergence``, the largest change from ``steps`` to
     ``steps + 2`` squarings, and ``inverse``, the interior residual of the
     backward field composed with the forward one (both in px). Over all
-    fields: ``folded`` of ``pixels`` interior pixels have a non-positive
-    Jacobian determinant.
+    fields: ``folded`` of ``pixels`` interior pixels have a Jacobian
+    determinant that is not positive (a NaN counts as folded).
     """
     conv, inv, folded, pixels = [], [], 0, 0
     for seed in range(n):
@@ -43,7 +43,7 @@ def field_statistics(n, size, max_velocity, sigma=None, steps=SQUARING_STEPS) ->
         bwd = integrate_svf(VectorField(-v.array, VELOCITY), steps)
         inv.append(mean_interior_magnitude(compose_displacements(bwd, fwd), margin=4))
         jac = jacobian_determinant(fwd)[1:-1, 1:-1]
-        folded += int((jac <= 0).sum())
+        folded += int((~(jac > 0)).sum())
         pixels += jac.size
     return {"convergence": conv, "inverse": inv, "folded": folded, "pixels": pixels}
 

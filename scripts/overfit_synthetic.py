@@ -54,7 +54,7 @@ def run_family(family: str, pair, lr: float, iterations: int, seed: int):
         "dice_myo": metrics.dice(pair.fix_mask, warped_mask, 2),
         "dice_la": metrics.dice(pair.fix_mask, warped_mask, 3),
         "epe_px": metrics.endpoint_error(out.disp_inverse, pair.gt_disp, mask=pair.fix_mask),
-        "jac_neg_frac": float((jac <= 0).mean()),
+        "jac_neg_frac": float((~(jac > 0)).mean()),
     }
     return row, model
 

@@ -5,7 +5,6 @@ Wall-time budgets are asserted with generous slack for slow machines;
 the measured times on a laptop-class CPU are noted inline.
 """
 
-import importlib.util
 import json
 import time
 from pathlib import Path
@@ -13,14 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchreg import blocks, dataio, metrics, models, svf, training
+from patchreg import blocks, dataio, models, svf, training
 from patchreg.cli import main
 from patchreg.metrics import dice, surface_distances
 from patchreg.models import fuse_multiscale, preset
-from patchreg.svf import DISPLACEMENT, VELOCITY, VectorField, integrate_svf, random_smooth_velocity
+from patchreg.svf import VELOCITY, VectorField, integrate_svf, random_smooth_velocity
 from patchreg.training import TrainConfig, symmetric_loss
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# one copy of each oracle and same-data check, shared with the unit suites
+import test_metrics
+import test_training
+from shared import brute_force_surface, load_script, loop_resample_and_scale, make_result, random_mask
+
 GOLDEN = Path(__file__).parent / "data" / "golden_presets.json"
 # the paper's augmentation protocol, pinned with the presets
 AUGMENTATION = {
@@ -34,16 +37,9 @@ def ok(criterion: int, message: str) -> None:
     print(f"\n[criterion {criterion}] PASS: {message}")
 
 
-def _load_script(name: str):
-    """Criteria 2-4 run the experiments of ``scripts/``, not copies of them."""
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-field_properties = _load_script("field_properties")
-overfit_synthetic = _load_script("overfit_synthetic")
+# criteria 2-4 run the experiments of ``scripts/``, not copies of them
+field_properties = load_script("field_properties")
+overfit_synthetic = load_script("overfit_synthetic")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +96,7 @@ def test_criterion_2_exponential_map_properties():
 def test_criterion_3_folding_free():
     stats = field_properties.field_statistics(100, 32, 3.0)
     assert stats["folded"] == 0
-    ok(3, f"0 of {stats['pixels']} interior pixels with non-positive Jacobian over 100 fields")
+    ok(3, f"0 of {stats['pixels']} interior pixels folded (Jacobian not > 0, NaN included) over 100 fields")
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +153,7 @@ def test_criterion_5_multiscale_fusion():
     expected = np.zeros((2, 32, 32))
     for f, w in zip(fields, weights):
         arr = f.array
-        if arr.shape[1] != 32:
-            h = arr.shape[1]
-            up = np.zeros((2, 32, 32))
-            for c in range(2):
-                unit = 32.0 / h
-                for i in range(32):
-                    for j in range(32):
-                        sy = i * (h - 1) / 31.0
-                        sx = j * (h - 1) / 31.0
-                        y0 = min(int(np.floor(sy)), h - 2)
-                        x0 = min(int(np.floor(sx)), h - 2)
-                        fy, fx = sy - y0, sx - x0
-                        val = (1 - fy) * (
-                            (1 - fx) * arr[c, y0, x0] + fx * arr[c, y0, x0 + 1]
-                        ) + fy * ((1 - fx) * arr[c, y0 + 1, x0] + fx * arr[c, y0 + 1, x0 + 1])
-                        up[c, i, j] = val * unit
-            arr = up
-        expected += w * arr
+        expected += w * (arr if arr.shape[1] == 32 else loop_resample_and_scale(arr, 32, 32))
     assert np.abs(fused.array - expected).max() < 1e-6
     ok(5, "weights (1,0,0) reproduce the child; (0.5,0.3,0.2) match the loop oracle to 1e-6")
 
@@ -186,29 +165,16 @@ def test_criterion_5_multiscale_fusion():
 def test_criterion_6_loss_contract():
     img = np.random.default_rng(1).uniform(size=(16, 16))
     zero = np.zeros((2, 16, 16))
-
-    def result(u, w):
-        return models.RegistrationResult(
-            velocity=VectorField(u.copy(), VELOCITY),
-            disp_forward=VectorField(u, DISPLACEMENT),
-            disp_inverse=VectorField(w, DISPLACEMENT),
-        )
-
-    assert symmetric_loss(img, img.copy(), result(zero.copy(), zero.copy()), 0.01).item() == 0.0
+    assert symmetric_loss(img, img.copy(), make_result(zero.copy(), zero.copy()), 0.01).item() == 0.0
 
     rng = np.random.default_rng(2)
     fix, mov = rng.uniform(size=(16, 16)), rng.uniform(size=(16, 16))
     u = random_smooth_velocity(3, 16, 16, 1.5).array
     w = random_smooth_velocity(4, 16, 16, 1.5).array
-    a = symmetric_loss(fix, mov, result(u.copy(), w.copy()), lam=0.0).item()
-    b = symmetric_loss(mov, fix, result(w.copy(), u.copy()), lam=0.0).item()
+    a = symmetric_loss(fix, mov, make_result(u.copy(), w.copy()), lam=0.0).item()
+    b = symmetric_loss(mov, fix, make_result(w.copy(), u.copy()), lam=0.0).item()
     assert a == b  # bit-exact data-term exchange
-
-    h = wd = 12
-    gy, gx = np.meshgrid(np.arange(h, dtype=float), np.arange(wd, dtype=float), indexing="ij")
-    lin = np.stack([0.1 * gx, np.zeros((h, wd))])
-    reg = training.diffusion_regularizer(VectorField(lin, DISPLACEMENT)).item()
-    assert abs(reg - 0.1**2 * h * (wd - 1) / (h * wd)) < 1e-6
+    test_training.test_regularizer_linear_field_analytic()
 
     assert TrainConfig().lam == 0.01
     ok(6, "loss zero at identity, swap-symmetric bit-exact, analytic regularizer, lambda 0.01")
@@ -219,8 +185,6 @@ def test_criterion_6_loss_contract():
 
 
 def test_criterion_7_metric_oracles():
-    import math
-
     def brute_dice(a, b, label):
         inter = na = nb = 0
         h, w = a.shape
@@ -232,66 +196,19 @@ def test_criterion_7_metric_oracles():
                 inter += pa and pb
         return 1.0 if na + nb == 0 else 2.0 * inter / (na + nb)
 
-    def brute_surface(a, b, label):
-        def boundary(mask):
-            h, w = mask.shape
-            pts = []
-            for i in range(h):
-                for j in range(w):
-                    if mask[i, j] != label:
-                        continue
-                    if (
-                        i in (0, h - 1)
-                        or j in (0, w - 1)
-                        or mask[i - 1, j] != label
-                        or mask[i + 1, j] != label
-                        or mask[i, j - 1] != label
-                        or mask[i, j + 1] != label
-                    ):
-                        pts.append((i, j))
-            return pts
-
-        pa, pb = boundary(a), boundary(b)
-        ab = [min(math.dist(p, q) for q in pb) for p in pa]
-        ba = [min(math.dist(p, q) for q in pa) for p in pb]
-        return max(max(ab), max(ba)), 0.5 * (sum(ab) / len(ab) + sum(ba) / len(ba))
-
-    def random_mask(seed):
-        rng = np.random.default_rng(seed)
-        m = np.zeros((20, 20), dtype=np.int64)
-        for _ in range(int(rng.integers(1, 3))):
-            cy, cx = rng.uniform(4, 16, size=2)
-            ry, rx = rng.uniform(2, 5, size=2)
-            gy, gx = np.meshgrid(np.arange(20), np.arange(20), indexing="ij")
-            m[((gy - cy) / ry) ** 2 + ((gx - cx) / rx) ** 2 <= 1.0] = 1
-        return m
-
     checked = 0
     for seed in range(50):
-        a, b = random_mask(seed), random_mask(seed + 1000)
+        a, b = (random_mask(s, size=20, blobs=2, radius=5) for s in (seed, seed + 1000))
         assert dice(a, b, 1) == brute_dice(a, b, 1)
         if (a == 1).any() and (b == 1).any():
             hd, msd = surface_distances(a, b, 1)
-            bhd, bmsd = brute_surface(a, b, 1)
+            bhd, bmsd = brute_force_surface(a, b, 1)
             assert hd == bhd
             assert abs(msd - bmsd) < 1e-12
             checked += 1
     assert checked >= 40
-
-    a = np.zeros((8, 8), dtype=int)
-    b = np.zeros((8, 8), dtype=int)
-    a[0, 0] = 1
-    b[3, 4] = 1
-    assert surface_distances(a, b, 1) == (5.0, 5.0)
-
-    from patchreg.svf import identity_grid
-
-    grid = identity_grid(16, 16)
-    roi = np.zeros((16, 16), dtype=int)
-    roi[3:-3, 3:-3] = 2
-    stats = metrics.jacobian_stats(VectorField(0.1 * grid.copy(), DISPLACEMENT), roi, 2)
-    assert abs(stats.mean - 1.21) < 1e-3
-
+    test_metrics.test_surface_distance_three_four_five()
+    test_metrics.test_jacobian_stats_linear_expansion()
     ok(7, f"dice/hd/msd equal brute force on {checked} mask pairs; 3-4-5 HD=5; jacobian 1.21")
 
 

@@ -16,6 +16,8 @@ from patchreg.blocks import (
 )
 from patchreg.gradcore import DimensionError, ParamSet, Tensor, grad_check
 
+from shared import scalar_readout
+
 
 def rand_tokens(seed, gh, gw, dim, dtype=np.float64):
     rng = np.random.default_rng(seed)
@@ -488,11 +490,6 @@ def test_swin_block_bit_exact_to_head_layout_oracle(dtype, grid, window, heads, 
 
 # ---------------------------------------------------------------------------
 # differentiability of every block
-
-
-def scalar_readout(t: gc.Tensor, seed=0):
-    r = np.random.default_rng(seed).normal(size=t.shape)
-    return gc.sum_all(gc.mul(t, Tensor(r)))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "mixer", "swin", "embed"])

@@ -14,7 +14,6 @@ of OpenBLAS 0.3.31 the largest deviation measured in these units was
 4.5e-6 in float32 and 1.3e-14 in float64.
 """
 
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -24,20 +23,13 @@ import pytest
 
 from patchreg import metrics
 
-ROOT = Path(__file__).resolve().parents[1]
+from shared import load_script
+
 RTOL = {"float32": 1e-4, "float64": 1e-9}
 FLOOR = 1e-3
 
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("golden_bits", ROOT / "scripts" / "golden_bits.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-golden_bits = _load_script()
-GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_bits.json").read_text())
+golden_bits = load_script("golden_bits")
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_bits.json").read_text())
 
 
 def test_golden_file_covers_every_case():

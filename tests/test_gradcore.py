@@ -24,6 +24,8 @@ from patchreg.gradcore import (
     softmax,
 )
 
+from shared import central_difference, scalar_readout
+
 
 def fd_check(build, arrays, n_probes=30, step=1e-5, seed=0):
     """Central finite differences of a scalar graph vs analytic grads.
@@ -42,23 +44,10 @@ def fd_check(build, arrays, n_probes=30, step=1e-5, seed=0):
         if tensors[ti].size == 0:
             continue
         idx = int(rng.integers(tensors[ti].size))
-        orig = tensors[ti].data.flat[idx]
-        tensors[ti].data.flat[idx] = orig + step
-        fp = build(tensors).item()
-        tensors[ti].data.flat[idx] = orig - step
-        fm = build(tensors).item()
-        tensors[ti].data.flat[idx] = orig
-        fd = (fp - fm) / (2 * step)
+        fd = central_difference(lambda: build(tensors), tensors[ti].data, idx, step)
         an = float(analytic[ti].flat[idx])
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-5))
     return worst
-
-
-def scalar_readout(t, seed=0):
-    """Project a tensor to a scalar with a fixed random weighting."""
-    rng = np.random.default_rng(seed)
-    r = rng.normal(size=t.shape)
-    return gc.sum_all(gc.mul(t, Tensor(r.astype(np.float64))))
 
 
 # ---------------------------------------------------------------------------

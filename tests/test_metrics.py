@@ -23,22 +23,13 @@ from patchreg.metrics import (
 )
 from patchreg.svf import DISPLACEMENT, VectorField, identity_grid, integrate_svf, random_smooth_velocity
 
+from shared import brute_force_surface, random_mask
+
 
 def const_disp(h, w, dx, dy):
     arr = np.zeros((2, h, w))
     arr[0], arr[1] = dx, dy
     return VectorField(arr, DISPLACEMENT)
-
-
-def random_mask(seed, size=24):
-    rng = np.random.default_rng(seed)
-    mask = np.zeros((size, size), dtype=np.int64)
-    for _ in range(int(rng.integers(1, 4))):
-        cy, cx = rng.uniform(4, size - 4, size=2)
-        ry, rx = rng.uniform(2, 6, size=2)
-        gy, gx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-        mask[((gy - cy) / ry) ** 2 + ((gx - cx) / rx) ** 2 <= 1.0] = 1
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -107,34 +98,6 @@ def test_dice_symmetric(seed):
 
 # ---------------------------------------------------------------------------
 # surface distances
-
-
-def brute_force_surface(a, b, label):
-    """All-pairs distances over independently extracted boundaries."""
-
-    def boundary(mask):
-        h, w = mask.shape
-        out = []
-        for i in range(h):
-            for j in range(w):
-                if mask[i, j] != label:
-                    continue
-                edge = i == 0 or i == h - 1 or j == 0 or j == w - 1
-                if not edge:
-                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        if mask[i + di, j + dj] != label:
-                            edge = True
-                            break
-                if edge:
-                    out.append((i, j))
-        return out
-
-    pa, pb = boundary(a), boundary(b)
-    d_ab = [min(math.dist(p, q) for q in pb) for p in pa]
-    d_ba = [min(math.dist(p, q) for q in pa) for p in pb]
-    hd = max(max(d_ab), max(d_ba))
-    msd = 0.5 * (sum(d_ab) / len(d_ab) + sum(d_ba) / len(d_ba))
-    return hd, msd
 
 
 def test_surface_distance_identical_masks():

@@ -29,6 +29,8 @@ from patchreg.svf import (
     warp_image,
 )
 
+from shared import loop_resample_and_scale
+
 
 def desk_config(family, image_size=32, **kw):
     scale = (
@@ -171,26 +173,6 @@ def test_wrong_image_size_is_dimension_error(pair32):
 
 # ---------------------------------------------------------------------------
 # multi-scale fusion
-
-
-def loop_resample_and_scale(arr, th, tw):
-    """Corner-aligned bilinear upsample with unit conversion, explicit loops."""
-    _, h, w = arr.shape
-    out = np.zeros((2, th, tw))
-    for c in range(2):
-        unit = tw / w if c == 0 else th / h
-        for i in range(th):
-            for j in range(tw):
-                sy = i * (h - 1) / (th - 1)
-                sx = j * (w - 1) / (tw - 1)
-                y0 = min(int(np.floor(sy)), h - 2)
-                x0 = min(int(np.floor(sx)), w - 2)
-                fy, fx = sy - y0, sx - x0
-                val = (1 - fy) * ((1 - fx) * arr[c, y0, x0] + fx * arr[c, y0, x0 + 1]) + fy * (
-                    (1 - fx) * arr[c, y0 + 1, x0] + fx * arr[c, y0 + 1, x0 + 1]
-                )
-                out[c, i, j] = val * unit
-    return out
 
 
 def test_fuse_single_child_weight_one_is_exact():

@@ -1,16 +1,17 @@
 """The scripts under ``scripts/`` import model internals; run each at
 desk size so an interface change that breaks them fails the suite."""
 
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-CLI_DIGEST = json.loads((SCRIPTS.parent / "tests" / "data" / "cli_digest.json").read_text())
+from shared import SCRIPTS, load_script
+
+CLI_DIGEST = json.loads((Path(__file__).parent / "data" / "cli_digest.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -26,13 +27,6 @@ def test_script_runs(tmp_path, script, args):
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def _blas_key():
-    spec = importlib.util.spec_from_file_location("golden_bits", SCRIPTS / "golden_bits.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.blas_key()
 
 
 def test_cli_digest_is_reproducible(tmp_path):
@@ -54,10 +48,24 @@ def test_cli_digest_is_reproducible(tmp_path):
     now = {path: sha for sha, path in (line.split("  ", 1) for line in outputs[0])}
     recorded = CLI_DIGEST["files"]
     assert sorted(now) == sorted(recorded)  # the same paths, and no stray .tmp file
-    key, want = _blas_key(), CLI_DIGEST["key"]
+    key, want = load_script("golden_bits").blas_key(), CLI_DIGEST["key"]
     if key != want:
         if key["numpy"] != want["numpy"]:
             pytest.skip(f"numpy {key['numpy']} is not the recorded {want['numpy']}: hashes not comparable")
         recorded = {path: r for path, r in recorded.items() if r["kernel_free"]}
     changed = [path for path, r in recorded.items() if now[path] != r["sha256"]]
     assert not changed, f"{len(changed)} of {len(recorded)} files changed bytes: {changed}"
+
+
+def test_field_statistics_counts_a_nan_determinant_as_folded(monkeypatch):
+    field_properties = load_script("field_properties")
+    exact = field_properties.jacobian_determinant
+
+    def one_nan(disp):
+        det = exact(disp)
+        det[1, 1] = np.nan  # an interior pixel
+        return det
+
+    monkeypatch.setattr(field_properties, "jacobian_determinant", one_nan)
+    stats = field_properties.field_statistics(2, 16, 1.0)
+    assert stats["folded"] == 2

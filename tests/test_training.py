@@ -15,7 +15,7 @@ import pytest
 from patchreg import dataio, gradcore, models, training
 from patchreg.dataio import ImagePair
 from patchreg.gradcore import ContractError, ParamSet, Tensor, add, backward, cmul, grad_check
-from patchreg.models import ConfigError, RegistrationResult, init_model
+from patchreg.models import ConfigError, init_model
 from patchreg.svf import DISPLACEMENT, VectorField, random_smooth_velocity
 from patchreg.training import (
     Adam,
@@ -27,13 +27,7 @@ from patchreg.training import (
     train,
 )
 
-
-def make_result(u: np.ndarray, w: np.ndarray) -> RegistrationResult:
-    return RegistrationResult(
-        velocity=VectorField(u.copy(), "velocity"),
-        disp_forward=VectorField(u, DISPLACEMENT),
-        disp_inverse=VectorField(w, DISPLACEMENT),
-    )
+from shared import make_result
 
 
 def smooth_disp(seed, size, mag):
